@@ -11,7 +11,8 @@ match the factors' analytic ones.
 from __future__ import annotations
 
 import time
-from typing import Dict
+from itertools import chain
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -22,69 +23,93 @@ from repro.geometry import so2, so3
 from repro.obs import vtrace, wallclock
 from repro.obs.core import is_enabled as _obs_enabled
 
+# A run-loop injector: called as ``injector(executor, program, indices)``
+# after each step with the instruction indices the step just executed
+# (one for the interpreter, a whole group for the fused backend).  It
+# may raise, rewrite registers, or sleep.
+Injector = Callable[["Executor", Program, Sequence[int]], None]
+
 
 class Executor:
-    """Executes a :class:`Program`, holding the register file."""
+    """Executes a :class:`Program`, holding the register file.
 
-    def __init__(self):
+    ``guard`` (a :class:`~repro.optim.safeguards.DeadlineGuard`) and
+    ``injector`` (an :data:`Injector`) are optional run-loop hooks,
+    called after every step; see :meth:`_dispatch`.
+    """
+
+    def __init__(self, guard=None, injector: Optional[Injector] = None):
         self.registers: Dict[str, np.ndarray] = {}
+        self.guard = guard
+        self.injector = injector
 
     def run(self, program: Program) -> Dict[str, np.ndarray]:
-        # Two module-global reads per program, not per instruction: the
-        # interpreter loop itself stays untouched while host wall-clock
-        # profiling (repro.obs.wallclock) and value tracing
-        # (repro.obs.vtrace) are off.
+        if self._hooked():
+            return self._dispatch(program, self._steps(program),
+                                  len(program.instructions))
+        for instr in program.instructions:
+            self.execute(instr)
+        return self.registers
+
+    def _steps(self, program: Program) -> Iterable[Sequence[int]]:
+        """Interpreter steps: one instruction each, in program order."""
+        execute = self.execute
+        for index, instr in enumerate(program.instructions):
+            execute(instr)
+            yield (index,)
+
+    def _hooked(self) -> bool:
+        """Whether any run-loop hook is installed.
+
+        Checked once per program, not per instruction, so with no hook
+        the backends run their plain loops untouched.
+        """
+        return (self.guard is not None or self.injector is not None
+                or wallclock.active() is not None
+                or vtrace.active() is not None)
+
+    def _dispatch(self, program: Program, steps: Iterable[Sequence[int]],
+                  total: int) -> Dict[str, np.ndarray]:
+        """The hooked run loop every backend shares.
+
+        ``steps`` executes one step per iteration and yields the
+        instruction indices it covered.  After each step the wall-clock
+        profiler records it as one group, then the injector and the
+        deadline guard run.  The value tracer replays program-order
+        digests of the completed steps after the loop, inside
+        ``finally``, so a crashing run still writes its record prefix
+        and ``end`` footer.  SSA registers are written exactly once, so
+        the replay sees the values each instruction produced.
+        """
         profiler = wallclock.active()
         tracer = vtrace.active()
-        if tracer is not None:
-            return self._run_traced(program, tracer, profiler)
-        if profiler is not None:
-            return self._run_profiled(program, profiler)
-        for instr in program.instructions:
-            self.execute(instr)
-        return self.registers
-
-    def _run_profiled(self, program: Program,
-                      profiler) -> Dict[str, np.ndarray]:
-        """The instrumented twin of :meth:`run`: per-opcode self time."""
-        registers = self.registers
-        record = profiler.record_instruction
+        guard, injector = self.guard, self.injector
+        instructions = program.instructions
         clock = time.perf_counter_ns
-        for instr in program.instructions:
-            started = clock()
-            self.execute(instr)
-            record(instr, clock() - started, registers)
-        profiler.record_program()
-        return self.registers
-
-    def _run_traced(self, program: Program, tracer,
-                    profiler) -> Dict[str, np.ndarray]:
-        """The value-traced twin of :meth:`run`: per-instruction digests.
-
-        Composes with the wallclock profiler when both are active.  The
-        ``end`` record (and with it the full-value ring buffer) is
-        flushed even when an instruction raises, so a crashing run
-        still leaves a usable forensics trail.
-        """
-        registers = self.registers
-        trace_instr = tracer.record_instruction
-        tracer.begin_program(program)
+        done = []
+        if tracer is not None:
+            tracer.begin_program(program)
         try:
-            if profiler is None:
-                for instr in program.instructions:
-                    self.execute(instr)
-                    trace_instr(instr, registers)
-            else:
-                record = profiler.record_instruction
-                clock = time.perf_counter_ns
-                for instr in program.instructions:
-                    started = clock()
-                    self.execute(instr)
-                    record(instr, clock() - started, registers)
-                    trace_instr(instr, registers)
-                profiler.record_program()
+            started = clock()
+            for indices in steps:
+                if profiler is not None:
+                    profiler.record_group([instructions[i] for i in indices],
+                                          clock() - started, self.registers)
+                done.append(indices)
+                if injector is not None:
+                    injector(self, program, indices)
+                if guard is not None:
+                    guard.check(partial={"steps": len(done),
+                                         "total_steps": total})
+                started = clock()
         finally:
-            tracer.end_program()
+            if tracer is not None:
+                for index in sorted(chain.from_iterable(done)):
+                    tracer.record_instruction(instructions[index],
+                                              self.registers)
+                tracer.end_program()
+        if profiler is not None:
+            profiler.record_program()
         return self.registers
 
     def read(self, name: str) -> np.ndarray:

@@ -47,11 +47,9 @@ that in:
   reorder reductions.
 
 :class:`FusedExecutor` is a drop-in :class:`Executor`: ``run(program)``
-returns the same register file, honors the value tracer
-(:mod:`repro.obs.vtrace`) by replaying per-instruction digests in
-program order after the fused run (byte-identical traces), and records
-per-*group* wall-clock events when the :mod:`repro.obs.wallclock`
-profiler is active.
+returns the same register file and runs the same hooks (value tracer,
+wall-clock profiler, injector, deadline guard) through the shared
+dispatch loop, with one step per fused group.
 
 Backend selection: ``backend="fused"`` on the optimizer loops, the
 ``REPRO_EXECUTOR`` environment variable (``interpreter``/``fused``), or
@@ -62,7 +60,7 @@ from __future__ import annotations
 
 import os
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -70,7 +68,7 @@ from scipy.linalg.lapack import dtrtrs
 from repro.errors import ExecutionError
 from repro.compiler.executor import Executor
 from repro.compiler.isa import Instruction, Opcode, Program
-from repro.obs import counters, vtrace, wallclock
+from repro.obs import counters
 from repro.obs.core import is_enabled as _obs_enabled
 
 try:  # direct gufunc access: same kernel np.linalg.qr(mode="r") calls,
@@ -692,36 +690,30 @@ class FusedPlan:
 
         The (dst, value) pairs — and the stacked operand blocks for
         gathers whose members are all constants (``const_ports``) — are
-        memoized on the program object: a rebind produces a fresh
-        ``Program`` (invalidating the memo), while repeat executions of
-        the same program (solver iterations on one binding, bench
-        repeats) reuse them at zero marginal cost.
+        memoized on the program object together with the plan that
+        built them: a rebind produces a fresh ``Program`` and an in-place
+        ``Program.extend`` a fresh plan (either invalidates the memo),
+        while repeat executions of the same program (solver iterations
+        on one binding, bench repeats) reuse them at zero marginal cost.
         """
         registers = executor.registers
-        pairs = getattr(program, "_fused_const_pairs", None)
-        if pairs is None:
+        memo = getattr(program, "_fused_const_memo", None)
+        if memo is None or memo[0] is not self:
             instructions = program.instructions
             pairs = [
                 (dst, np.asarray(instructions[index].meta["value"],
                                  dtype=float))
                 for index, dst in self.const_sites
             ]
-            program._fused_const_pairs = pairs
-        registers.update(pairs)
-        if self.const_ports:
-            memo = getattr(program, "_fused_const_stacks", None)
-            if memo is None or memo[0] is not self:
-                stacks = []
-                for _, names in self.const_ports:
-                    if len(names) == 1:
-                        stacks.append(np.asarray((registers[names[0]],)))
-                    else:
-                        stacks.append(
-                            np.asarray(itemgetter(*names)(registers)))
-                memo = (self, stacks)
-                program._fused_const_stacks = memo
-            for (port, _), stack in zip(self.const_ports, memo[1]):
-                slabs[port] = stack
+            registers.update(pairs)
+            stacks = [_dict_gather(names)(registers, slabs)
+                      for _, names in self.const_ports]
+            memo = (self, pairs, stacks)
+            program._fused_const_memo = memo
+        else:
+            registers.update(memo[1])
+        for (port, _), stack in zip(self.const_ports, memo[2]):
+            slabs[port] = stack
 
     def execute(self, executor: Executor, program: Program) -> None:
         slabs: List[Any] = [None] * self.ports
@@ -729,44 +721,21 @@ class FusedPlan:
         for step in self.steps:
             step.execute(executor, program, slabs)
 
-    def execute_profiled(self, executor: Executor, program: Program,
-                         profiler) -> None:
-        """Timed twin of :meth:`execute`: per-group wall-clock events.
+    def iter_steps(self, executor: Executor,
+                   program: Program) -> Iterator[List[int]]:
+        """:meth:`execute` one dispatch at a time, for the hooked loop.
 
-        Each fused step is one timed event attributed to its opcode
-        with its member count (``record_group``); the CONST preload is
-        one event covering every constant site.
+        Yields each completed dispatch's instruction indices: the CONST
+        preload (when there are constants), then every plan step, so
+        the dispatch count is :meth:`dispatch_count`.
         """
-        import time
-
-        clock = time.perf_counter_ns
-        registers = executor.registers
-        instructions = program.instructions
         slabs: List[Any] = [None] * self.ports
-        if self.const_sites or self.const_ports:
-            started = clock()
-            self.preload_constants(executor, program, slabs)
-            elements = sum(int(registers[d].size)
-                           for _, d in self.const_sites)
-            profiler.record_group(
-                Opcode.CONST.value, "?", clock() - started,
-                calls=len(self.const_sites), elements=elements)
+        self.preload_constants(executor, program, slabs)
+        if self.const_sites:
+            yield [index for index, _ in self.const_sites]
         for step in self.steps:
-            started = clock()
             step.execute(executor, program, slabs)
-            elapsed = clock() - started
-            first = instructions[step.indices[0]]
-            prov = first.provenance
-            stage = prov.stage if prov is not None and prov.stage else "?"
-            elements = 0
-            for index in step.indices:
-                for dst in instructions[index].dsts:
-                    value = registers.get(dst)
-                    if value is not None:
-                        elements += int(value.size)
-            profiler.record_group(step.op.value, stage, elapsed,
-                                  calls=step.size, elements=elements)
-        profiler.record_program()
+            yield step.indices
 
 
 class _PlanBuilder:
@@ -929,43 +898,20 @@ class FusedExecutor(Executor):
     """Executes programs through cached fused plans.
 
     A drop-in :class:`Executor`: same constructor, same ``run`` &
-    register-file contract, same results.  Instrumentation composes:
-
-    - value tracing (:mod:`repro.obs.vtrace`) replays per-instruction
-      digests in program order after the fused run — SSA registers are
-      written exactly once, so the final register file reproduces every
-      instruction's destination values and the trace is byte-identical
-      to an interpreter trace;
-    - wall-clock profiling (:mod:`repro.obs.wallclock`) records one
-      timed event per fused group (``record_group``).
+    register-file contract, same results.  With a hook installed the
+    plan runs through the shared :meth:`Executor._dispatch` loop, one
+    step per fused dispatch: the wall-clock profiler records one event
+    per group, the injector and deadline guard see each group's member
+    indices, and the value tracer's program-order replay is
+    byte-identical to an interpreter trace.
     """
 
     def run(self, program: Program) -> Dict[str, np.ndarray]:
         plan = plan_for(program)
-        profiler = wallclock.active()
-        tracer = vtrace.active()
-        if tracer is not None:
-            return self._run_traced(program, plan, tracer, profiler)
-        if profiler is not None:
-            plan.execute_profiled(self, program, profiler)
-            return self.registers
+        if self._hooked():
+            return self._dispatch(program, plan.iter_steps(self, program),
+                                  plan.dispatch_count())
         plan.execute(self, program)
-        return self.registers
-
-    def _run_traced(self, program: Program, plan: FusedPlan, tracer,
-                    profiler) -> Dict[str, np.ndarray]:
-        registers = self.registers
-        tracer.begin_program(program)
-        try:
-            if profiler is None:
-                plan.execute(self, program)
-            else:
-                plan.execute_profiled(self, program, profiler)
-            trace_instr = tracer.record_instruction
-            for instr in program.instructions:
-                trace_instr(instr, registers)
-        finally:
-            tracer.end_program()
         return self.registers
 
 

@@ -46,7 +46,7 @@ from repro.obs.vtrace import (
 
 __all__ = [
     "load_trace", "find_divergence", "error_stats", "backward_slice",
-    "render_divergence", "record_app_trace", "InjectingExecutor",
+    "render_divergence", "record_app_trace",
     "rerecord_window", "render_capture_window",
 ]
 
@@ -404,36 +404,6 @@ def render_divergence(report: Dict[str, Any]) -> str:
 # Producing traces (the `repro.obs vtrace` subcommand + capture windows)
 # ----------------------------------------------------------------------
 
-class InjectingExecutor(Executor):
-    """Executor that corrupts planned value-fault sites as it runs.
-
-    Unlike :class:`repro.resilience.executor.ResilientExecutor` (which
-    replaces ``run()`` wholesale with its detect/retry loop), this
-    subclass only overrides ``execute()``, so the inherited traced run
-    loop records the corrupted digests exactly as a faulty backend
-    would have produced them — the forensics target, not the recovery
-    story.
-    """
-
-    def __init__(self, plan):
-        super().__init__()
-        self.plan = plan
-
-    def execute(self, instr) -> None:
-        super().execute(instr)
-        event = self.plan.event_for(instr.uid)
-        if event is None or not instr.dsts:
-            return
-        from repro.resilience.faults import corrupt_arrays
-        from repro.resilience.spec import VALUE_KINDS
-
-        if event.kind not in VALUE_KINDS:
-            return
-        arrays = [self.registers[name] for name in instr.dsts]
-        dst, corrupted = corrupt_arrays(event, arrays)
-        self.registers[instr.dsts[dst]] = corrupted
-
-
 def record_app_trace(name: str, seed: int, path,
                      ring_size: int = 32,
                      capture_range: Optional[Tuple[int, int]] = None,
@@ -442,16 +412,19 @@ def record_app_trace(name: str, seed: int, path,
     """Compile one application frame and execute it under the tracer.
 
     ``fault`` is a :class:`~repro.resilience.spec.CampaignSpec` (or its
-    dict form) scheduling deterministic value faults via
-    :class:`InjectingExecutor`.  The producer recipe (app, seed, fault
-    spec) is stored in the trace header, which is what makes
+    dict form) scheduling deterministic value faults, applied by an
+    interpreter :class:`Executor` whose run-loop injector is
+    :func:`~repro.resilience.faults.fault_injector`: the trace records
+    the corrupted digests exactly as a faulty backend would have
+    produced them.  The producer recipe (app, seed, fault spec) is
+    stored in the trace header, which is what makes
     ``--capture-window`` re-execution possible later.
 
     ``executor_name`` selects the value-domain backend
     (``"interpreter"``/``"fused"``; default: the process default) —
     recording the same app under both and diffing the traces is the
-    fused-backend parity smoke CI runs.  Fault injection is
-    per-instruction, so a fault spec forces the instruction-level path.
+    fused-backend parity smoke CI runs.  A fault spec always runs on the
+    interpreter.
     """
     from repro.apps import all_applications
     from repro.compiler.fused import executor_factory
@@ -465,7 +438,7 @@ def record_app_trace(name: str, seed: int, path,
                                 "seed": int(seed)}
     plan = None
     if fault is not None:
-        from repro.resilience.faults import plan_faults
+        from repro.resilience.faults import fault_injector, plan_faults
         from repro.resilience.spec import CampaignSpec
 
         if isinstance(fault, CampaignSpec):
@@ -476,7 +449,7 @@ def record_app_trace(name: str, seed: int, path,
             )
         producer["fault"] = spec.to_dict()
         plan = plan_faults(program, spec)
-        executor = InjectingExecutor(plan)
+        executor = Executor(injector=fault_injector(plan))
     else:
         executor = executor_factory(executor_name)()
     with recording_scope(path, ring_size=ring_size,

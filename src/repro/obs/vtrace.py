@@ -162,7 +162,7 @@ class ValueTraceRecorder:
             self._fh.write("\n".join(self._buffer) + "\n")
             self._buffer = []
 
-    # -- recording (called from Executor._run_traced) --------------------
+    # -- recording (called from the executors' dispatch loop) -----------
     def begin_program(self, program) -> None:
         if self._ring is not None:
             self._ring.clear()

@@ -6,7 +6,8 @@ pure Python — the dominant end-to-end wall-clock now that compilation is
 cached — was unmeasured.  This module profiles it:
 
 - :class:`WallclockProfiler` aggregates per-opcode **self time**
-  (``time.perf_counter_ns`` around each handler), call counts, and
+  (``time.perf_counter_ns`` around each dispatch: one instruction on
+  the interpreter, one group on the fused backend), call counts, and
   operand element counts, crossed with the instruction's provenance
   stage (``construct.error``, ``eliminate``, ...).
 - Activation follows the :mod:`repro.obs.core` conventions: **no-op by
@@ -28,7 +29,7 @@ are *not* recorded here — they go through the existing span collector
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 WALLCLOCK_SCHEMA = "repro.obs.wallclock/1"
 
@@ -54,47 +55,37 @@ class WallclockProfiler:
         self._table: Dict[tuple, list] = {}
         self._programs = 0
 
-    # -- recording (the interpreter hot path) ---------------------------
-    def record_instruction(self, instr, elapsed_ns: int,
-                           registers: Dict[str, Any]) -> None:
-        """Account one executed instruction's handler time.
+    # -- recording (the executor hot path) ------------------------------
+    def record_group(self, instrs: Sequence[Any], elapsed_ns: int,
+                     registers: Dict[str, Any]) -> None:
+        """Account one dispatch that executed ``instrs``.
 
-        ``registers`` is the executor's register file *after* the write,
-        so destination sizes measure the elements the handler produced.
+        An interpreted instruction is a group of one; the fused backend
+        (:mod:`repro.compiler.fused`) dispatches whole same-opcode
+        groups at once.  The group lands in the ``(opcode, stage)`` cell
+        of its members' provenance stage (``?`` when they disagree or
+        have none) with ``calls`` equal to the group size, so
+        ``hotspots`` views stay comparable across executors (per-call
+        time then reads as amortized time per fused instruction).
+        ``registers`` is the register file *after* the dispatch, so
+        destination sizes measure the elements it produced.
         """
         elements = 0
-        for name in instr.dsts:
-            value = registers.get(name)
-            if value is not None:
-                elements += int(value.size)
-        prov = instr.provenance
-        stage = prov.stage if prov is not None and prov.stage else "?"
-        key = (instr.op.value, stage)
+        stage = None
+        for instr in instrs:
+            prov = instr.provenance
+            own = prov.stage if prov is not None and prov.stage else "?"
+            stage = own if stage in (None, own) else "?"
+            for name in instr.dsts:
+                value = registers.get(name)
+                if value is not None:
+                    elements += int(value.size)
+        key = (instrs[0].op.value, stage)
         cell = self._table.get(key)
         if cell is None:
-            self._table[key] = [1, elapsed_ns, elements]
+            self._table[key] = [len(instrs), elapsed_ns, elements]
         else:
-            cell[0] += 1
-            cell[1] += elapsed_ns
-            cell[2] += elements
-
-    def record_group(self, opcode: str, stage: str, elapsed_ns: int,
-                     calls: int, elements: int = 0) -> None:
-        """Account one fused block op covering ``calls`` instructions.
-
-        The fused backend (:mod:`repro.compiler.fused`) dispatches whole
-        same-opcode groups at once; the group's wall time lands in the
-        same ``(opcode, stage)`` table as interpreted instructions, with
-        ``calls`` equal to the group size, so ``hotspots`` views stay
-        comparable across executors (per-call time then reads as
-        amortized time per fused instruction).
-        """
-        key = (opcode, stage)
-        cell = self._table.get(key)
-        if cell is None:
-            self._table[key] = [calls, elapsed_ns, elements]
-        else:
-            cell[0] += calls
+            cell[0] += len(instrs)
             cell[1] += elapsed_ns
             cell[2] += elements
 

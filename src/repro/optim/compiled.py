@@ -20,7 +20,6 @@ lambda trials, so every damped solve after the first is a cache hit.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,87 +38,28 @@ class CompiledSolver:
     set_default_executor`), so CLI ``--executor`` switches reach every
     compiled solve without plumbing.
 
-    ``executor_factory`` swaps the functional executor for a hardened
-    (or fault-injecting) one — e.g. ``lambda: ResilientExecutor(plan,
-    policy)`` from :mod:`repro.resilience.executor`.  An executor that
-    escalates an unrecoverable fault raises
-    :class:`~repro.errors.FaultInjectionError`, which the safeguarded
-    optimizer loops catch and degrade on.  An explicit factory takes
-    precedence: fault injection and tiered recovery are defined per
-    instruction, so when one is installed while the fused backend is
-    requested, the solver falls back to the instruction-level path,
-    warns once per structure, and counts a
-    ``resilience.supervisor.fallback`` obs event with the reason.
+    Deadlines, chaos injection, retry and the fallback ladder live one
+    layer up in :class:`~repro.resilience.supervisor.SupervisedSolver`,
+    which installs them as run-loop hooks on these same executors.
+    Per-instruction fault campaigns with detection and tiered recovery
+    run a compiled program through :class:`~repro.resilience.executor.
+    ResilientExecutor` directly.
     """
 
     def __init__(self, cache=None, max_entries: int = 8,
-                 executor_factory=None, executor: Optional[str] = None):
+                 executor: Optional[str] = None):
         from repro.compiler.cache import CompilationCache
         from repro.compiler.fused import _validate_name
 
         self.cache = cache if cache is not None \
             else CompilationCache(max_entries=max_entries)
-        self.executor_factory = executor_factory
         self.executor = None if executor is None else _validate_name(executor)
-        # Structure fingerprints whose fused→interpreter fallback has
-        # already been logged (the event fires once per structure).
-        self._fallback_logged = set()
-
-    def _wants_fused(self) -> bool:
-        from repro.compiler import fused
-
-        return (self.executor or fused.default_executor_name()) == \
-            fused.EXECUTOR_FUSED
-
-    def _note_factory_fallback(self, fingerprint: str) -> None:
-        """Count (and warn about) the fused→instruction-level fallback.
-
-        Fires once per structure fingerprint: the condition is a
-        property of the (solver, structure) pair, and a serving process
-        rebinding the same template thousands of times must not flood
-        the warning stream — but the obs counter records every distinct
-        structure that lost its fused plan to the override.
-        """
-        from repro.obs import counters, trace
-
-        if fingerprint in self._fallback_logged:
-            return
-        self._fallback_logged.add(fingerprint)
-        reason = ("explicit executor_factory installed; fault injection "
-                  "and hardened execution are per-instruction")
-        counters.incr("resilience.supervisor.fallback")
-        with trace.span("resilience.supervisor.fallback",
-                        category="resilience", reason=reason,
-                        fingerprint=fingerprint):
-            pass
-        warnings.warn(
-            "fused executor requested, but an explicit "
-            "executor_factory is installed (fault injection / "
-            "hardened execution is per-instruction); falling "
-            "back to the instruction-level path",
-            RuntimeWarning, stacklevel=4)
-
-    def _resolve_factory(self, fingerprint: Optional[str] = None):
-        from repro.compiler import fused
-
-        if self.executor_factory is not None:
-            if self._wants_fused():
-                self._note_factory_fallback(fingerprint or "")
-            return self.executor_factory
-        return fused.executor_factory(self.executor)
-
-    def _executor_label(self) -> str:
-        """The fleet ``executor`` label for this solver's value backend."""
-        from repro.compiler import fused
-
-        if self.executor_factory is not None:
-            return "custom"
-        return self.executor or fused.default_executor_name()
 
     def solve(self, graph: FactorGraph, values: Values,
               ordering: Optional[Sequence[Key]] = None
               ) -> Dict[Key, np.ndarray]:
         """One linear solve: compile (or rebind) and execute."""
+        from repro.compiler import fused
         from repro.obs import fleet, trace
 
         registry = fleet.active()
@@ -127,23 +67,17 @@ class CompiledSolver:
             import time
 
             started = time.perf_counter()
-        fingerprint = None
-        if self.executor_factory is not None and self._wants_fused():
-            from repro.compiler.cache import structural_fingerprint
-
-            fingerprint = structural_fingerprint(graph, values,
-                                                 ordering)[:12]
         with trace.span("solve.compile", category="host.phase") as sp:
             hits_before = self.cache.hits
             compiled = self.cache.compile(graph, values, ordering)
             sp.set(kind="rebind" if self.cache.hits > hits_before
                    else "compile")
-        factory = self._resolve_factory(fingerprint)
+        executor = self.executor or fused.default_executor_name()
         with trace.span("solve.execute", category="host.phase",
                         instructions=len(compiled.program)):
-            registers = factory().run(compiled.program)
+            registers = fused.executor_factory(executor)().run(
+                compiled.program)
         if registry is not None:
-            executor = self._executor_label()
             registry.incr(fleet.M_SOLVE_TOTAL, executor=executor)
             registry.observe(fleet.M_SOLVE_LATENCY,
                              time.perf_counter() - started,

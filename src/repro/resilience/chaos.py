@@ -162,7 +162,7 @@ def _bit_identical(golden: Dict, candidate: Dict) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Injectors (see repro.resilience.supervisor.Injector)
+# Injectors (see repro.compiler.executor.Injector)
 # ----------------------------------------------------------------------
 
 def _transient_handler_injector() -> Callable:
@@ -267,8 +267,7 @@ def run_scenario(app_name: str, graph, values, golden: Dict, top: str,
     elif fault == FAULT_NAN_STORM:
         injectors[top] = _nan_storm_injector()
     elif fault == FAULT_SLOW_OP:
-        base = replace(base, execute_deadline_s=SLOW_OP_DEADLINE_S,
-                       check_every=1)
+        base = replace(base, execute_deadline_s=SLOW_OP_DEADLINE_S)
         injectors[top] = _slow_op_injector(sleep)
     elif fault == FAULT_SILENT_CORRUPTION:
         base = replace(base, sentinel=True, sentinel_rate=1.0)

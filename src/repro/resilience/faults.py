@@ -20,7 +20,7 @@ overhead consistent with its recovery verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -230,3 +230,27 @@ def corrupt_arrays(event: FaultEvent,
         delta = event.sign * event.magnitude
         flat[idx] = flat[idx] + delta * max(1.0, abs(flat[idx]))
     return dst, out
+
+
+def fault_injector(plan: FaultPlan) -> Callable:
+    """A run-loop injector that corrupts ``plan``'s value-fault sites.
+
+    Install it as ``Executor(injector=fault_injector(plan))`` (see
+    :data:`repro.compiler.executor.Injector`) for forensic runs such as
+    ``repro.obs vtrace --fault-rate``: each corrupted result stays in
+    the register file, undetected and unrecovered, as a faulty backend
+    would leave it.  Detection and recovery are
+    :class:`~repro.resilience.executor.ResilientExecutor`'s job.
+    """
+    def inject(executor, program: Program, indices) -> None:
+        registers = executor.registers
+        for index in indices:
+            instr = program.instructions[index]
+            event = plan.event_for(instr.uid)
+            if event is None or event.kind not in VALUE_KINDS \
+                    or not instr.dsts:
+                continue
+            dst, corrupted = corrupt_arrays(
+                event, [registers[name] for name in instr.dsts])
+            registers[instr.dsts[dst]] = corrupted
+    return inject

@@ -9,10 +9,12 @@ CompiledSolver` in four layers of supervision:
 
 1. **Deadline enforcement** — a :class:`~repro.optim.safeguards.
    DeadlineGuard` with per-phase (compile / execute / total) wall-clock
-   deadlines, checked at instruction-group boundaries by the supervised
-   executors below.  An execute deadline demotes down the ladder (this
-   rung is too slow); the total deadline aborts with a structured
-   :class:`~repro.errors.DeadlineExceeded` carrying partial progress.
+   deadlines, installed as the rung executor's guard hook and checked
+   after every step of its run loop (one instruction on the
+   interpreter, one group on the fused backend).  An execute deadline
+   demotes down the ladder (this rung is too slow); the total deadline
+   aborts with a structured :class:`~repro.errors.DeadlineExceeded`
+   carrying partial progress.
 2. **Bounded retry with exponential backoff + jitter** — transient
    failures (:class:`~repro.errors.FaultInjectionError`, handler
    exceptions surfacing as :class:`~repro.errors.ExecutionError`,
@@ -55,9 +57,9 @@ from repro.errors import (
     OptimizationError,
     ResilienceError,
 )
-from repro.compiler.executor import Executor
-from repro.compiler.fused import FusedExecutor, plan_for
-from repro.compiler.isa import Opcode, Program
+from repro.compiler.executor import Executor, Injector
+from repro.compiler.fused import FusedExecutor
+from repro.compiler.isa import Opcode
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
@@ -70,8 +72,6 @@ __all__ = [
     "RUNG_FUSED",
     "RUNG_INTERPRETER",
     "RUNG_REFERENCE",
-    "SupervisedExecutor",
-    "SupervisedFusedExecutor",
     "SupervisedSolver",
     "SupervisorConfig",
     "active_supervision",
@@ -134,9 +134,6 @@ class SupervisorConfig:
     sentinel_rate: float = 0.25
     sentinel_rtol: float = 1e-6
     sentinel_atol: float = 1e-9
-    # Deadline-check granularity for the instruction-level executor
-    # (the fused executor checks at its natural group boundaries).
-    check_every: int = 32
     # The fallback ladder, fastest rung first.
     ladder: Tuple[str, ...] = DEFAULT_LADDER
 
@@ -258,89 +255,6 @@ class CircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# Supervised executors: deadline checks at instruction-group boundaries
-# ----------------------------------------------------------------------
-
-# Injector protocol (used by the chaos campaign): a callable
-# ``inject(executor, program, indices)`` invoked after each dispatch
-# with the instruction indices just executed — one index for the
-# interpreter, a whole fused group for the fused executor.  Injectors
-# may raise (handler exception), mutate registers (NaN storm / silent
-# corruption), or sleep (slow op).
-Injector = Callable[[Executor, Program, Sequence[int]], None]
-
-
-class SupervisedExecutor(Executor):
-    """The instruction-level interpreter under deadline supervision.
-
-    With neither a guard nor an injector installed this is exactly the
-    base :class:`Executor` (same instrumentation fast paths); otherwise
-    the run loop checks the deadline guard every ``check_every``
-    instructions and feeds the chaos injector after each one.
-    """
-
-    def __init__(self, guard: Optional[DeadlineGuard] = None,
-                 check_every: int = 32,
-                 injector: Optional[Injector] = None):
-        super().__init__()
-        self.guard = guard
-        self.check_every = max(1, int(check_every))
-        self.injector = injector
-
-    def run(self, program: Program) -> Dict[str, np.ndarray]:
-        guard = self.guard
-        injector = self.injector
-        if guard is None and injector is None:
-            return super().run(program)
-        instructions = program.instructions
-        total = len(instructions)
-        for index, instr in enumerate(instructions):
-            self.execute(instr)
-            if injector is not None:
-                injector(self, program, (index,))
-            if guard is not None and (index + 1) % self.check_every == 0:
-                guard.check(partial={"instructions": index + 1,
-                                     "total_instructions": total})
-        if guard is not None:
-            guard.check(partial={"instructions": total,
-                                 "total_instructions": total})
-        return self.registers
-
-
-class SupervisedFusedExecutor(FusedExecutor):
-    """The fused vectorized backend under deadline supervision.
-
-    Fused plans already dispatch in instruction groups, so the natural
-    deadline boundary is after each batched step; the injector sees the
-    group's member instruction indices.
-    """
-
-    def __init__(self, guard: Optional[DeadlineGuard] = None,
-                 injector: Optional[Injector] = None):
-        super().__init__()
-        self.guard = guard
-        self.injector = injector
-
-    def run(self, program: Program) -> Dict[str, np.ndarray]:
-        guard = self.guard
-        injector = self.injector
-        if guard is None and injector is None:
-            return super().run(program)
-        plan = plan_for(program)
-        slabs: List[Any] = [None] * plan.ports
-        plan.preload_constants(self, program, slabs)
-        total = len(plan.steps)
-        for position, step in enumerate(plan.steps):
-            step.execute(self, program, slabs)
-            if injector is not None:
-                injector(self, program, tuple(step.indices))
-            if guard is not None:
-                guard.check(partial={"groups": position + 1,
-                                     "total_groups": total})
-        return self.registers
-
-
-# ----------------------------------------------------------------------
 # Cache-template integrity
 # ----------------------------------------------------------------------
 
@@ -423,7 +337,8 @@ class SupervisedSolver:
 
     ``sleep`` is the backoff sleeper (injectable so tests and campaigns
     pay no real wall-clock for retries); ``injectors`` maps ladder rung
-    names to chaos injectors (see :data:`Injector`).
+    names to chaos injectors (see :data:`repro.compiler.executor.
+    Injector`), installed as the rung executor's run-loop hook.
     """
 
     def __init__(self, config: Optional[SupervisorConfig] = None,
@@ -699,14 +614,9 @@ class SupervisedSolver:
             self._last_program = None
             return delta
 
-        injector = self._injectors.get(rung)
-        if rung == RUNG_FUSED:
-            executor = SupervisedFusedExecutor(
-                guard=guard if armed else None, injector=injector)
-        else:
-            executor = SupervisedExecutor(
-                guard=guard if armed else None,
-                check_every=self.config.check_every, injector=injector)
+        backend = FusedExecutor if rung == RUNG_FUSED else Executor
+        executor = backend(guard=guard if armed else None,
+                           injector=self._injectors.get(rung))
         with trace.span("solve.execute", category="host.phase", rung=rung,
                         instructions=len(compiled.program)):
             registers = executor.run(compiled.program)

@@ -2,11 +2,16 @@
 
 The fused executor is a drop-in :class:`Executor`; these tests pin the
 contracts that make it one when composed with the compilation cache
-(rebind never re-plans), the observability stack (vtrace byte-identical,
-wallclock per-group events), the resilience harness (explicit factories
-win, with a warning), and the process-wide backend selection switches.
+(rebind never re-plans, in-place extension re-plans), the observability
+stack (vtrace byte-identical, wallclock per-group events), the run-loop
+hooks both backends share (profiler, tracer, deadline guard, injector,
+including under a supervised solve), and the process-wide backend
+selection switches.
 """
 
+import contextlib
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +20,12 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.compiler import Executor, FusedExecutor, cached_compile_graph
+from repro.compiler import (
+    Executor,
+    FusedExecutor,
+    cached_compile_graph,
+    compile_graph,
+)
 from repro.compiler.cache import CompilationCache
 from repro.compiler.fused import (
     EXECUTOR_ENV,
@@ -28,6 +38,13 @@ from repro.compiler.fused import (
 )
 from repro.obs import vtrace, wallclock
 from repro.optim.compiled import CompiledSolver
+from repro.optim.safeguards import DeadlineGuard
+from repro.resilience.supervisor import (
+    RUNG_FUSED,
+    RUNG_INTERPRETER,
+    SupervisedSolver,
+    SupervisorConfig,
+)
 
 from tests.diff.util import random_problem
 
@@ -90,6 +107,19 @@ class TestPlanReuseAcrossRebinds:
             assert np.array_equal(sol_b[key], ref_b[key])
         assert any(not np.array_equal(sol_a[k], sol_b[k]) for k in sol_a)
 
+    def test_extend_in_place_preloads_new_constants(self):
+        """``Program.extend`` appends in place: the re-planned run must
+        preload the appended CONST sites, not a memo of the old ones."""
+        program = compile_graph(*random_problem(3, 400)).program
+        FusedExecutor().run(program)
+        program.extend(compile_graph(*random_problem(3, 401),
+                                     register_prefix="other").program)
+        fused = FusedExecutor().run(program)
+        reference = Executor().run(program)
+        assert fused.keys() == reference.keys()
+        for name, value in reference.items():
+            assert bitwise_equal(fused[name], value), name
+
 
 # ----------------------------------------------------------------------
 # Observability: vtrace and wallclock compose
@@ -135,90 +165,106 @@ class TestTracingComposition:
 
 
 # ----------------------------------------------------------------------
-# Resilience: explicit executor factories win, with a warning
+# Run-loop hooks: profiler, tracer, guard and injector compose on both
+# backends, alone and together
 # ----------------------------------------------------------------------
 
-class TestResilienceComposition:
-    def test_explicit_factory_falls_back_with_warning(self, problem):
-        from repro.resilience.executor import ResilientExecutor
+HOOKS = ("profiler", "tracer", "guard", "injector")
+HOOK_SETS = [hooks for size in range(1, len(HOOKS) + 1)
+             for hooks in itertools.combinations(HOOKS, size)]
 
+
+def bitwise_equal(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def instr_records(path):
+    with open(path) as fh:
+        return [record for record in map(json.loads, fh)
+                if record["kind"] == "instr"]
+
+
+class TestHookComposition:
+    @pytest.mark.parametrize("hooks", HOOK_SETS, ids="+".join)
+    @pytest.mark.parametrize("backend", [Executor, FusedExecutor],
+                             ids=["interpreter", "fused"])
+    def test_hooks_compose(self, backend, hooks, problem, tmp_path):
+        program = cached_compile_graph(*problem, cache=None).program
+        count = len(program.instructions)
+        plain = Executor().run(program)
+        seen = []
+
+        def record(executor, program, indices):
+            seen.extend(indices)
+
+        executor = backend(
+            guard=DeadlineGuard(total_s=3600.0) if "guard" in hooks
+            else None,
+            injector=record if "injector" in hooks else None)
+        path = tmp_path / "hooks.trace"
+        with contextlib.ExitStack() as stack:
+            if "profiler" in hooks:
+                profiler = stack.enter_context(wallclock.profiled_scope())
+            if "tracer" in hooks:
+                stack.enter_context(
+                    vtrace.recording_scope(path, ring_size=0))
+            registers = executor.run(program)
+        assert registers.keys() == plain.keys()
+        for name, value in plain.items():
+            assert bitwise_equal(registers[name], value), name
+        if "injector" in hooks:
+            assert sorted(seen) == list(range(count))
+        if "profiler" in hooks:
+            snap = profiler.snapshot()
+            assert snap["programs"] == 1
+            assert snap["instructions"] == count
+        if "tracer" in hooks:
+            records = instr_records(path)
+            assert [r["uid"] for r in records] == \
+                [instr.uid for instr in program.instructions]
+
+    @pytest.mark.parametrize("rung", [RUNG_FUSED, RUNG_INTERPRETER])
+    def test_supervised_solve_is_profiled_and_traced(self, rung, problem,
+                                                     tmp_path):
+        """An armed deadline guard does not hide a supervised solve from
+        the profiler or the value tracer, on either rung."""
         graph, values = problem
-        solver = CompiledSolver(executor="fused",
-                                executor_factory=ResilientExecutor)
-        with pytest.warns(RuntimeWarning,
-                          match="instruction-level"):
-            hardened = solver.solve(graph, values)
-        reference = CompiledSolver().solve(graph, values)
-        for key in reference:
-            assert np.array_equal(hardened[key], reference[key])
-
-    def test_warning_emitted_once(self, problem):
-        from repro.resilience.executor import ResilientExecutor
-
-        graph, values = problem
-        solver = CompiledSolver(executor="fused",
-                                executor_factory=ResilientExecutor)
-        with pytest.warns(RuntimeWarning):
+        solver = SupervisedSolver(config=SupervisorConfig(
+            execute_deadline_s=3600.0, ladder=(rung,)))
+        path = tmp_path / "supervised.trace"
+        with wallclock.profiled_scope() as profiler, \
+                vtrace.recording_scope(path, ring_size=0):
             solver.solve(graph, values)
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            solver.solve(graph, values)  # must not warn again
+        assert solver.last_report["rung"] == rung
+        count = len(cached_compile_graph(graph, values,
+                                         cache=None).program.instructions)
+        snap = profiler.snapshot()
+        assert snap["programs"] == 1
+        assert snap["instructions"] == count
+        assert len(instr_records(path)) == count
 
-    def test_fallback_counted_once_per_structure(self, problem):
-        from repro.resilience.executor import ResilientExecutor
+    def test_crashing_fused_run_traces_completed_steps(self, problem,
+                                                      tmp_path):
+        from repro.errors import ExecutionError
 
-        graph, values = problem
-        solver = CompiledSolver(executor="fused",
-                                executor_factory=ResilientExecutor)
-        with obs.enabled_scope():
-            with pytest.warns(RuntimeWarning):
-                solver.solve(graph, values)
-            solver.solve(graph, values)  # same structure: no new event
-            snap = obs.collector().drain()
-        assert snap.counters["resilience.supervisor.fallback"] == 1.0
-        spans = [s for s in snap.spans
-                 if s.name == "resilience.supervisor.fallback"]
-        assert len(spans) == 1
-        assert spans[0].args["fingerprint"]
+        program = cached_compile_graph(*problem, cache=None).program
 
-    def test_fallback_counted_per_distinct_structure(self, problem):
-        from repro.resilience.executor import ResilientExecutor
+        def crash(executor, program, indices):
+            raise ExecutionError("injected")
 
-        graph, values = problem
-        other_graph, other_values = random_problem(4, 57)
-        solver = CompiledSolver(executor="fused",
-                                executor_factory=ResilientExecutor)
-        with obs.enabled_scope():
-            with pytest.warns(RuntimeWarning):
-                solver.solve(graph, values)
-            with pytest.warns(RuntimeWarning):
-                solver.solve(other_graph, other_values)
-            snap = obs.collector().drain()
-        assert snap.counters["resilience.supervisor.fallback"] == 2.0
-
-    def test_fault_campaign_recovers_on_fallback_path(self, problem):
-        """A fused-requesting solver with an injecting hardened
-        executor still completes the campaign via recovery."""
-        from repro.resilience.abft import has_checker
-        from repro.resilience.executor import ResilientExecutor
-        from repro.resilience.faults import FaultEvent, FaultPlan
-        from repro.resilience.spec import RecoveryPolicy
-
-        graph, values = problem
-        compiled = cached_compile_graph(graph, values, cache=None)
-        uid = next(i.uid for i in compiled.program.instructions
-                   if has_checker(i.op) and i.op.value != "const")
-        plan = FaultPlan({uid: FaultEvent(uid, "value", magnitude=0.5)})
-        solver = CompiledSolver(
-            executor="fused",
-            executor_factory=lambda: ResilientExecutor(
-                plan, RecoveryPolicy()))
-        with pytest.warns(RuntimeWarning):
-            hardened = solver.solve(graph, values)
-        reference = CompiledSolver().solve(graph, values)
-        for key in reference:
-            assert np.allclose(hardened[key], reference[key], atol=1e-8)
+        path = tmp_path / "crash.trace"
+        with vtrace.recording_scope(path, ring_size=0):
+            with pytest.raises(ExecutionError):
+                FusedExecutor(injector=crash).run(program)
+        plan = plan_for(program)
+        first = [i for i, _ in plan.const_sites] or plan.steps[0].indices
+        with open(path) as fh:
+            lines = [json.loads(line) for line in fh]
+        assert lines[-1]["kind"] == "end"
+        assert [r["uid"] for r in lines if r["kind"] == "instr"] == \
+            [program.instructions[i].uid for i in sorted(first)]
 
 
 # ----------------------------------------------------------------------

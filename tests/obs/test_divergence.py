@@ -10,7 +10,6 @@ from repro.compiler.isa import Opcode, Program
 from repro.obs import vtrace
 from repro.obs.__main__ import main as obs_main
 from repro.obs.divergence import (
-    InjectingExecutor,
     backward_slice,
     error_stats,
     find_divergence,
@@ -115,14 +114,19 @@ class TestFindDivergence:
         assert report["checked"] == 3
 
     def test_value_divergence_and_slice(self, tmp_path):
-        from repro.resilience.faults import FaultEvent, FaultPlan
+        from repro.resilience.faults import (
+            FaultEvent,
+            FaultPlan,
+            fault_injector,
+        )
 
         program = chain_program(n=8)
         uid = 4
         plan = FaultPlan({uid: FaultEvent(uid, "value", magnitude=0.5)})
         a = trace_run(program, tmp_path / "a.trace", ring_size=8)
         b = trace_run(program, tmp_path / "b.trace",
-                      executor=InjectingExecutor(plan), ring_size=8)
+                      executor=Executor(injector=fault_injector(plan)),
+                      ring_size=8)
         report = find_divergence(a, b)
         assert report["kind"] == "value"
         assert report["uid"] == uid

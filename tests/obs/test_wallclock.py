@@ -5,6 +5,7 @@ import pytest
 
 from repro.compiler.executor import Executor
 from repro.compiler.isa import Instruction, Opcode, Program
+from repro.compiler.provenance import Provenance
 from repro.obs import wallclock
 from repro.obs.wallclock import (
     WALLCLOCK_SCHEMA,
@@ -38,7 +39,7 @@ class TestProfilerTable:
         ex = Executor()
         const = tiny_program().instructions[0]
         ex.execute(const)
-        profiler.record_instruction(const, 1500, ex.registers)
+        profiler.record_group([const], 1500, ex.registers)
         snap = profiler.snapshot()
         assert snap["schema"] == WALLCLOCK_SCHEMA
         assert snap["instructions"] == 1
@@ -53,15 +54,36 @@ class TestProfilerTable:
         registers = {"x": np.zeros(3)}
         instr = Instruction(uid=0, op=Opcode.COPY, srcs=["x"], dsts=["x"])
         for _ in range(4):
-            profiler.record_instruction(instr, 100, registers)
+            profiler.record_group([instr], 100, registers)
         snap = profiler.snapshot()
         assert snap["by_opcode"]["copy"] == \
             {"calls": 4, "self_ns": 400, "elements": 12}
 
+    def test_group_counts_every_member(self):
+        profiler = WallclockProfiler()
+        registers = {"x": np.zeros(3), "y": np.zeros((2, 2))}
+        group = [Instruction(uid=0, op=Opcode.COPY, srcs=[], dsts=["x"],
+                             provenance=Provenance(stage="eliminate")),
+                 Instruction(uid=1, op=Opcode.COPY, srcs=[], dsts=["y"],
+                             provenance=Provenance(stage="eliminate"))]
+        profiler.record_group(group, 100, registers)
+        snap = profiler.snapshot()
+        assert snap["by_opcode"]["copy"] == \
+            {"calls": 2, "self_ns": 100, "elements": 7}
+        assert set(snap["by_opcode_stage"]["copy"]) == {"eliminate"}
+
+    def test_mixed_stage_group_is_unattributed(self):
+        profiler = WallclockProfiler()
+        group = [Instruction(uid=0, op=Opcode.CONST, srcs=[], dsts=[],
+                             provenance=Provenance(stage=stage))
+                 for stage in ("construct.error", "construct.jacobian")]
+        profiler.record_group(group, 100, {})
+        assert set(profiler.snapshot()["by_opcode_stage"]["const"]) == {"?"}
+
     def test_drain_resets(self):
         profiler = WallclockProfiler()
-        profiler.record_instruction(
-            Instruction(uid=0, op=Opcode.COPY, srcs=[], dsts=[]),
+        profiler.record_group(
+            [Instruction(uid=0, op=Opcode.COPY, srcs=[], dsts=[])],
             50, {})
         profiler.record_program()
         first = profiler.drain()

@@ -231,7 +231,7 @@ class TestSupervisedSolver:
         def slow(executor, program, indices):
             time.sleep(0.05)
 
-        config = SupervisorConfig(execute_deadline_s=0.01, check_every=1)
+        config = SupervisorConfig(execute_deadline_s=0.01)
         solver = SupervisedSolver(config=config, sleep=no_sleep,
                                   injectors={RUNG_FUSED: slow})
         delta = solver.solve(graph, values)
