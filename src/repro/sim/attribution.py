@@ -226,7 +226,8 @@ def compute_attribution(program: Program,
 def compute_critical_path(program: Program,
                           latencies: Dict[int, int],
                           start: Dict[int, float],
-                          finish: Dict[int, float]
+                          finish: Dict[int, float],
+                          deps: Optional[Dict[int, List[int]]] = None
                           ) -> CriticalPathAnalysis:
     """Longest dependency chain and per-instruction schedule slack.
 
@@ -234,8 +235,11 @@ def compute_critical_path(program: Program,
     floor any schedule can reach.  Slack compares the recorded schedule
     against the latest times that would still meet the makespan under
     the same dependencies — zero-slack instructions gate the finish.
+    ``deps`` is ``program.dependencies()``, for callers that already
+    built it.
     """
-    deps = program.dependencies()
+    if deps is None:
+        deps = program.dependencies()
     instructions = program.instructions
 
     # Forward longest path (program order is a topological order: SSA).

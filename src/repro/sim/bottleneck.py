@@ -27,15 +27,20 @@ TMA-style bottleneck analysis over simulated schedules, in three parts:
   by resimulating with the modified :class:`AcceleratorConfig` and
   reports predicted-vs-measured speedup.
 
-Cause labels are exact where the engine examines an instruction every
-round (out-of-order issue with an unbounded port) and a best-effort
-tiling elsewhere: a segment between two examinations carries the cause
-observed at the examination that opened it, and a segment during which
-the instruction was never examined falls back to the policy's default
-(``width`` under out-of-order, the head-of-line/no-overlap cause in
-order).  The *total* wait per instruction is always exact — the segments
-tile ``[ready, issue)`` by construction — only the split between labels
-is approximate in those corners.
+Cause labels are exact under out-of-order issue with an unbounded port:
+a ready instruction there waits only for a free unit of its class, so
+its whole wait is ``structural.<unit>``, labelled once, at issue.  They
+are a best-effort tiling elsewhere.  With a finite port, a round that
+runs the port dry labels every waiting instruction (``width`` for those
+it never reached) and the next round that does not run dry relabels
+them structural, so each segment carries the cause of the round that
+opened it.  In order, a segment between two examinations of the head of
+line carries the cause observed at the examination that opened it, and
+a segment during which the instruction was never examined falls back to
+the policy's default (the head-of-line/no-overlap cause).  The *total*
+wait per instruction is always exact — the segments tile ``[ready,
+issue)`` by construction — only the split between labels is approximate
+in those corners.
 """
 
 from __future__ import annotations
@@ -77,11 +82,15 @@ class WaitTracker:
     """Dispatch-ready vs issue bookkeeping for one ``Simulator.run``.
 
     The engine calls :meth:`mark_ready` when an instruction's last
-    operand arrives, :meth:`close` at every examination (tiling the wait
-    into cause-labelled segments), :meth:`block` when an examination
-    defers the instruction, and :meth:`sample_depths` once per
-    scheduling round with the per-unit-class count of ready-but-deferred
-    instructions.  Pure bookkeeping: it never influences scheduling.
+    operand arrives, :meth:`close` where the cause of its wait may change
+    and at issue (tiling the wait into cause-labelled segments),
+    :meth:`block` to record the cause of the segment that follows, and
+    :meth:`sample_depths` once per scheduling round with the
+    per-unit-class count of ready-but-deferred instructions.  The
+    out-of-order loop labels a deferred instruction lazily: it calls
+    :meth:`block_if_unset` with the structural cause right before the
+    issue-time :meth:`close`, so an unchanged cause costs no call per
+    round.  Pure bookkeeping: it never influences scheduling.
     """
 
     __slots__ = ("default_cause", "ready_time", "gated_by", "wait_from",

@@ -22,7 +22,7 @@ import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.compiler.isa import Instruction, Opcode, Program, UNIT_NONE
+from repro.compiler.isa import Opcode, Program, UNIT_NONE, UNIT_OF_OPCODE
 from repro.hw.accelerator import AcceleratorConfig
 from repro.hw.units import BASE_STATIC_POWER_MW, STATIC_POWER_MW
 from repro.obs import core as obs
@@ -39,6 +39,11 @@ from repro.sim.bottleneck import (
 from repro.sim.stats import EnergyBreakdown, SimulationResult
 
 POLICIES = ("ooo", "inorder", "sequential")
+
+
+def _unit_classes(program: Program) -> List[str]:
+    """The unit class of every instruction, indexed by uid."""
+    return [UNIT_OF_OPCODE[instr.op] for instr in program.instructions]
 
 
 class Simulator:
@@ -88,10 +93,11 @@ class Simulator:
     def _run(self, program: Program, policy: str,
              record_schedule: bool, fault_plan) -> SimulationResult:
         instructions = program.instructions
+        units = _unit_classes(program)
         deps = program.dependencies()
-        latencies = self._latencies(program)
+        latencies = self._latencies(program, units)
         fault_counts: Dict[str, float] = {}
-        energies = self._energies(program)
+        energies = self._energies(program, units)
         if fault_plan is not None:
             fault_counts = fault_plan.apply_timing(program, latencies,
                                                    energies)
@@ -103,11 +109,16 @@ class Simulator:
         }
         for heap in unit_free.values():
             heapq.heapify(heap)
+        # Out-of-order ready queues: one uid min-heap per unit class with
+        # at least one instance, like per-unit reservation stations.
+        queues: Dict[str, List[int]] = {
+            unit: [] for unit, heap in unit_free.items() if heap
+        }
+        structural = {unit: structural_cause(unit) for unit in queues}
 
         finish: Dict[int, float] = {}
         start: Dict[int, float] = {}
         pending_preds: Dict[int, Set[int]] = {}
-        ready: List[int] = []   # uid heap (program order priority)
         completion_events: List[Tuple[float, int]] = []
 
         # CONST instructions are preloaded before execution starts.
@@ -121,6 +132,15 @@ class Simulator:
         # feeds back into scheduling decisions.
         tracker = WaitTracker(policy)
 
+        def enqueue(uid: int) -> None:
+            queue = queues.get(units[uid])
+            if queue is None:
+                raise SimulationError(
+                    f"no unit instances of class {units[uid]!r} configured "
+                    f"(needed by {instructions[uid].describe()})"
+                )
+            heapq.heappush(queue, uid)
+
         for instr in instructions:
             if instr.op is Opcode.CONST:
                 continue
@@ -128,7 +148,8 @@ class Simulator:
             pending_preds[instr.uid] = preds
             if not preds:
                 tracker.mark_ready(instr.uid, 0.0)
-                heapq.heappush(ready, instr.uid)
+                if policy == "ooo":
+                    enqueue(instr.uid)
 
         dependents: Dict[int, List[int]] = {}
         for uid, preds in pending_preds.items():
@@ -146,86 +167,120 @@ class Simulator:
         # always on (it is nearly free and feeds SimulationResult);
         # export to the obs collector happens once at end of run.
         stalls = {"structural": 0, "raw": 0, "overlap": 0, "width": 0}
+        # Dispatch slots per scheduling round.
+        width = self.issue_width if self.issue_width is not None else (
+            float("inf")
+        )
+        # Uids the last dry round labelled explicitly (see issue_ooo).
+        dry_visited: List[int] = []
 
-        def try_issue() -> bool:
-            """Issue as many instructions as the policy allows at `now`."""
+        def issue_ooo() -> None:
+            """One out-of-order scheduling round at `now`.
+
+            Each class with ``f`` free instances issues its ``f`` oldest
+            ready uids; the class heads are merged in global uid order,
+            so a finite port's slots go to the oldest uids overall and
+            units first enter ``busy_cycles`` in program order.  A uid
+            left in its queue was deferred on a structural hazard, which
+            is the cause its whole wait carries: it is labelled lazily,
+            once, at issue.  The one exception is a round that runs a
+            finite port dry while uids above the last issued one still
+            wait: it labels every waiting uid explicitly (``width`` above
+            that cut), and the next round that does not run dry relabels
+            them as structural.
+            """
+            nonlocal inflight
+            slots = width
+            heads = [(queue[0], unit) for unit, queue in queues.items()
+                     if queue and unit_free[unit][0] <= now]
+            heapq.heapify(heads)
+            cut = -1
+            while heads and slots > 0:
+                uid, unit = heads[0]
+                queue = queues[unit]
+                heapq.heappop(queue)
+                self._issue_one(uid, instructions, latencies, unit_free,
+                                now, start, finish, completion_events,
+                                busy_cycles)
+                if tracker.ready_time[uid] < now:  # it was deferred
+                    tracker.block_if_unset(uid, structural[unit])
+                    tracker.close(uid, now)
+                issued.add(uid)
+                inflight += 1
+                slots -= 1
+                cut = uid
+                if queue and unit_free[unit][0] <= now:
+                    heapq.heapreplace(heads, (queue[0], unit))
+                else:
+                    heapq.heappop(heads)
+            depth = {unit: len(queue) for unit, queue in queues.items()
+                     if queue}
+            if slots == 0 and any(uid > cut for queue in queues.values()
+                                  for uid in queue):
+                # The port ran dry: uids below the cut were examined and
+                # deferred, the ones above it were never reached.
+                stalls["width"] += 1
+                dry_visited.clear()
+                for unit, queue in queues.items():
+                    cause = structural[unit]
+                    for uid in queue:
+                        tracker.block_if_unset(uid, cause)
+                        tracker.close(uid, now)
+                        if uid < cut:
+                            stalls["structural"] += 1
+                            tracker.block(uid, cause)
+                        else:
+                            tracker.block(uid, CAUSE_WIDTH)
+                    dry_visited.extend(queue)
+            else:
+                # Every waiting uid was examined and deferred.
+                stalls["structural"] += sum(depth.values())
+                for uid in dry_visited:
+                    if uid not in issued:
+                        tracker.close(uid, now)
+                        tracker.block(uid, structural[units[uid]])
+                dry_visited.clear()
+            tracker.sample_depths(now, depth)
+
+        def issue_in_order() -> None:
+            """Issue as many instructions as in-order issue allows at `now`."""
             nonlocal next_inorder, inflight
-            progress = False
-            slots = self.issue_width if self.issue_width is not None else (
-                float("inf")
-            )
-            if policy == "ooo":
-                deferred = []
-                while ready and slots > 0:
-                    uid = heapq.heappop(ready)
-                    if self._issue_one(uid, instructions, latencies,
+            slots = width
+            head_blocked_unit = ""
+            while next_inorder < len(order) and slots > 0:
+                uid = order[next_inorder]
+                if pending_preds.get(uid):
+                    stalls["raw"] += 1
+                    break  # head-of-line RAW stall
+                if policy == "sequential" and inflight > 0:
+                    stalls["overlap"] += 1
+                    tracker.close(uid, now)
+                    tracker.block(uid, CAUSE_SEQUENTIAL)
+                    break  # a naive controller never overlaps
+                if not self._issue_one(uid, instructions, latencies,
                                        unit_free, now, start, finish,
                                        completion_events, busy_cycles):
-                        tracker.close(uid, now)
-                        issued.add(uid)
-                        inflight += 1
-                        progress = True
-                        slots -= 1
-                    else:
-                        tracker.close(uid, now)
-                        tracker.block(
-                            uid, structural_cause(instructions[uid].unit))
-                        deferred.append(uid)
-                # Counted per round, not per attempt, to keep the issue
-                # loop free of bookkeeping overhead.
-                if deferred:
-                    stalls["structural"] += len(deferred)
-                if ready and slots == 0:
-                    stalls["width"] += 1
-                    # Instructions never examined this round: the
-                    # dispatch port ran dry before reaching them.
-                    for uid in ready:
-                        tracker.close(uid, now)
-                        tracker.block(uid, CAUSE_WIDTH)
-                for uid in deferred:
-                    heapq.heappush(ready, uid)
-                depth: Dict[str, int] = {}
-                for uid in ready:
-                    unit = instructions[uid].unit
-                    depth[unit] = depth.get(unit, 0) + 1
-                tracker.sample_depths(now, depth)
-            else:
-                head_blocked_unit = ""
-                while next_inorder < len(order) and slots > 0:
-                    uid = order[next_inorder]
-                    if pending_preds.get(uid):
-                        stalls["raw"] += 1
-                        break  # head-of-line RAW stall
-                    if policy == "sequential" and inflight > 0:
-                        stalls["overlap"] += 1
-                        tracker.close(uid, now)
-                        tracker.block(uid, CAUSE_SEQUENTIAL)
-                        break  # a naive controller never overlaps
-                    if not self._issue_one(uid, instructions, latencies,
-                                           unit_free, now, start, finish,
-                                           completion_events, busy_cycles):
-                        stalls["structural"] += 1
-                        tracker.close(uid, now)
-                        tracker.block(
-                            uid, structural_cause(instructions[uid].unit))
-                        head_blocked_unit = instructions[uid].unit
-                        break  # structural hazard
+                    stalls["structural"] += 1
                     tracker.close(uid, now)
-                    issued.add(uid)
-                    inflight += 1
-                    next_inorder += 1
-                    progress = True
-                    slots -= 1
-                if next_inorder < len(order) and slots == 0:
-                    stalls["width"] += 1
-                    head = order[next_inorder]
-                    if not pending_preds.get(head):
-                        tracker.close(head, now)
-                        tracker.block(head, CAUSE_WIDTH)
-                tracker.sample_depths(
-                    now, {head_blocked_unit: 1} if head_blocked_unit else {})
-            return progress
+                    tracker.block(
+                        uid, structural_cause(instructions[uid].unit))
+                    head_blocked_unit = instructions[uid].unit
+                    break  # structural hazard
+                tracker.close(uid, now)
+                issued.add(uid)
+                inflight += 1
+                next_inorder += 1
+                slots -= 1
+            if next_inorder < len(order) and slots == 0:
+                stalls["width"] += 1
+                head = order[next_inorder]
+                if not pending_preds.get(head):
+                    tracker.close(head, now)
+                    tracker.block(head, CAUSE_WIDTH)
+            tracker.sample_depths(
+                now, {head_blocked_unit: 1} if head_blocked_unit else {})
 
+        try_issue = issue_ooo if policy == "ooo" else issue_in_order
         try_issue()
         while len(issued) < total_to_issue or completion_events:
             if not completion_events:
@@ -248,12 +303,12 @@ class Simulator:
                             # data dependency that gated dep's dispatch.
                             tracker.mark_ready(dep, now, f_uid)
                             if policy == "ooo":
-                                heapq.heappush(ready, dep)
+                                enqueue(dep)
             try_issue()
 
         total_cycles = int(round(max(finish.values(), default=0.0)))
         result = self._collect(program, policy, total_cycles, start, finish,
-                               latencies, energies, busy_cycles)
+                               latencies, energies, busy_cycles, units)
         result.stall_counts = {k: v for k, v in stalls.items() if v}
         if fault_counts:
             result.fault_counts = fault_counts
@@ -262,7 +317,7 @@ class Simulator:
         result.attribution = compute_attribution(program, latencies,
                                                  energies)
         result.critical_path = compute_critical_path(program, latencies,
-                                                     start, finish)
+                                                     start, finish, deps)
         result.cycle_accounting = compute_cycle_accounting(
             program, tracker, latencies, start, finish, result)
         if record_schedule or obs.is_enabled():
@@ -330,15 +385,16 @@ class Simulator:
                                    latencies: Dict[int, int]) -> None:
         """Debug-mode consistency checks over a recorded schedule.
 
-        Verifies that the ``unit_free`` heap bookkeeping in
-        :meth:`_issue_one` never over-subscribed a unit class: summed
-        per-unit busy cycles must equal the scheduled instruction
-        latencies, never exceed ``instances * makespan`` (utilization
-        <= 1), and the schedule must be packable onto the configured
-        instance count.  Also enforces the top-down cycle-accounting
-        identity (``total_cycles == gating-chain compute + attributed
-        wait``) and that each instruction's cause-labelled wait segments
-        tile its ready-to-issue gap exactly.  Armed by
+        Verifies that the ``unit_free`` heap bookkeeping of the issue
+        loops in :meth:`_run` (the out-of-order per-class ready queues,
+        and :meth:`_issue_one` for in-order issue) never over-subscribed
+        a unit class: summed per-unit busy cycles must equal the
+        scheduled instruction latencies, never exceed ``instances *
+        makespan`` (utilization <= 1), and the schedule must be packable
+        onto the configured instance count.  Also enforces the top-down
+        cycle-accounting identity (``total_cycles == gating-chain compute
+        + attributed wait``) and that each instruction's cause-labelled
+        wait segments tile its ready-to-issue gap exactly.  Armed by
         ``repro.obs.enable(debug=True)``.
         """
         self._check_accounting_invariants(result)
@@ -414,34 +470,42 @@ class Simulator:
                     f"but issue - ready = {info['wait']}"
                 )
 
-    def _latencies(self, program: Program) -> Dict[int, int]:
+    def _latencies(self, program: Program,
+                   units: Optional[List[str]] = None) -> Dict[int, int]:
+        if units is None:
+            units = _unit_classes(program)
         latencies: Dict[int, int] = {}
         shapes = program.register_shapes
         for instr in program.instructions:
-            if instr.unit == UNIT_NONE:
+            unit = units[instr.uid]
+            if unit == UNIT_NONE:
                 latencies[instr.uid] = 0
                 continue
-            template = self.config.templates.get(instr.unit)
+            template = self.config.templates.get(unit)
             if template is None:
                 raise SimulationError(
-                    f"no latency template for unit class {instr.unit!r} "
+                    f"no latency template for unit class {unit!r} "
                     f"(needed by {instr.describe()})"
                 )
             latencies[instr.uid] = max(1, int(template.latency(instr, shapes)))
         return latencies
 
-    def _energies(self, program: Program) -> Dict[int, float]:
+    def _energies(self, program: Program,
+                  units: Optional[List[str]] = None) -> Dict[int, float]:
         """Per-instruction dynamic energy in nJ (UNIT_NONE costs zero)."""
+        if units is None:
+            units = _unit_classes(program)
         energies: Dict[int, float] = {}
         shapes = program.register_shapes
         for instr in program.instructions:
-            if instr.unit == UNIT_NONE:
+            unit = units[instr.uid]
+            if unit == UNIT_NONE:
                 energies[instr.uid] = 0.0
                 continue
-            template = self.config.templates.get(instr.unit)
+            template = self.config.templates.get(unit)
             if template is None:
                 raise SimulationError(
-                    f"no energy template for unit class {instr.unit!r} "
+                    f"no energy template for unit class {unit!r} "
                     f"(needed by {instr.describe()})"
                 )
             energies[instr.uid] = float(template.energy(instr, shapes))
@@ -451,13 +515,14 @@ class Simulator:
     def _collect(self, program: Program, policy: str, total_cycles: int,
                  start: Dict[int, float], finish: Dict[int, float],
                  latencies: Dict[int, int], energies: Dict[int, float],
-                 busy_cycles: Dict[str, float]) -> SimulationResult:
+                 busy_cycles: Dict[str, float],
+                 units: List[str]) -> SimulationResult:
         dynamic_nj = 0.0
         phase_work: Dict[str, int] = {}
         phase_span: Dict[str, Tuple[float, float]] = {}
         algo_span: Dict[str, Tuple[float, float]] = {}
         for instr in program.instructions:
-            if instr.unit != UNIT_NONE:
+            if units[instr.uid] != UNIT_NONE:
                 dynamic_nj += energies[instr.uid]
                 phase_work[instr.phase] = (
                     phase_work.get(instr.phase, 0) + latencies[instr.uid]
@@ -496,8 +561,7 @@ class Simulator:
                 memory_mj=memory_mj,
             ),
             instruction_count=len(program.instructions),
-            issued_count=sum(1 for i in program.instructions
-                             if i.unit != UNIT_NONE),
+            issued_count=sum(1 for unit in units if unit != UNIT_NONE),
             unit_busy_cycles={u: int(b) for u, b in busy_cycles.items()},
             unit_instance_counts=dict(self.config.unit_counts),
             phase_work_cycles=phase_work,

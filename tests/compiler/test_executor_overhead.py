@@ -31,14 +31,20 @@ def dispatch_bound_program(n=2000):
     return program
 
 
-def best_of(fn, repeats=5):
-    """Minimum wall time over repeats: robust to scheduler noise."""
-    best = float("inf")
+def interleaved_best(plain, instrumented, repeats=5):
+    """Minimum wall time of each side over repeats, runs interleaved.
+
+    The minimum is robust to scheduler noise; alternating the two sides
+    exposes both to the same host speed state, so a slow spell lasting a
+    few seconds cannot land on one side only.
+    """
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+        for side, fn in enumerate((plain, instrumented)):
+            started = time.perf_counter()
+            fn()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best[0], best[1]
 
 
 class TestDisabledOverhead:
@@ -58,8 +64,7 @@ class TestDisabledOverhead:
         # Warm both paths before timing.
         plain()
         instrumented()
-        baseline = best_of(plain)
-        hooked = best_of(instrumented)
+        baseline, hooked = interleaved_best(plain, instrumented)
         # The hook adds one module-global read per run() call, which is
         # noise next to ~2000 dispatches; 1.5x absorbs slow-CI jitter
         # while still catching an accidental per-instruction check.
@@ -89,8 +94,7 @@ class TestDisabledOverhead:
 
         plain()
         instrumented()
-        baseline = best_of(plain)
-        hooked = best_of(instrumented)
+        baseline, hooked = interleaved_best(plain, instrumented)
         assert hooked < baseline * 1.5 + 1e-3, (
             f"disabled-tracer run() too slow: {hooked:.4f}s vs "
             f"plain loop {baseline:.4f}s"
