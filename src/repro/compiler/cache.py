@@ -213,6 +213,42 @@ _STRUCTURAL_FACTOR_TYPES = frozenset({
 })
 
 
+def factor_token(factor, values: Values) -> Tuple:
+    """One factor's structural token: its share of the structural key.
+
+    Two factors with equal tokens compile to position-identical
+    instruction streams that differ only in their value-bearing
+    constants.  :func:`graph_structure` keys the compilation cache on
+    these tokens and :class:`~repro.optim.compiled.CompiledSolver`
+    compares them when a solve passes a new factor object, so both
+    share one definition of "same structure".
+    """
+    from repro.compiler.library import factor_expression
+
+    type_name = type(factor).__name__
+    if type_name in _STRUCTURAL_FACTOR_TYPES:
+        shape_token: Tuple = ("lib",)
+    else:
+        components = factor_expression(factor)
+        if components is None:
+            shape_token = (
+                "embed",
+                tuple(int(values.dim(k)) for k in factor.keys),
+            )
+        else:
+            from repro.compiler.modfg import MoDFG
+
+            shape_token = ("expr",
+                           _expr_signature(MoDFG(components).nodes))
+    return (
+        type_name,
+        int(factor.dim),
+        tuple(factor.keys),
+        _noise_signature(factor.noise),
+        shape_token,
+    )
+
+
 def graph_structure(graph: FactorGraph, values: Values,
                     ordering: Optional[Sequence[Key]] = None,
                     extra: Tuple = ()) -> GraphStructure:
@@ -221,40 +257,13 @@ def graph_structure(graph: FactorGraph, values: Values,
     ``extra`` lets callers fold target-configuration tokens (e.g. a unit
     mix) into the key so one cache can serve several targets.
     """
-    from repro.compiler.library import factor_expression
-
-    factor_tokens = []
-    for factor in graph.factors:
-        type_name = type(factor).__name__
-        if type_name in _STRUCTURAL_FACTOR_TYPES:
-            shape_token: Tuple = ("lib",)
-        else:
-            components = factor_expression(factor)
-            if components is None:
-                shape_token = (
-                    "embed",
-                    tuple(int(values.dim(k)) for k in factor.keys),
-                )
-            else:
-                from repro.compiler.modfg import MoDFG
-
-                shape_token = ("expr",
-                               _expr_signature(MoDFG(components).nodes))
-        factor_tokens.append((
-            type_name,
-            int(factor.dim),
-            tuple(factor.keys),
-            _noise_signature(factor.noise),
-            shape_token,
-        ))
-
+    factor_tokens = tuple(factor_token(f, values) for f in graph.factors)
     variable_tokens = tuple(
         (k, _value_signature(values.at(k))) for k in graph.keys()
     )
     ordering_token: Any = "default" if ordering is None else tuple(ordering)
 
-    key = (tuple(factor_tokens), variable_tokens, ordering_token,
-           tuple(extra))
+    key = (factor_tokens, variable_tokens, ordering_token, tuple(extra))
     return GraphStructure(key=key, _graph=graph, _factor_nodes={})
 
 
@@ -271,8 +280,6 @@ def structural_fingerprint(graph: FactorGraph, values: Values,
 
 def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
                    structure: GraphStructure) -> np.ndarray:
-    from repro.compiler.modfg import GenMatVec
-
     kind = spec[0]
     if kind == BIND_POSE_PHI:
         return values.pose(spec[1]).phi
@@ -283,6 +290,8 @@ def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
     if kind == BIND_NOISE:
         return graph.factors[spec[1]].noise.sqrt_information
     if kind == BIND_EXPR:
+        from repro.compiler.modfg import GenMatVec
+
         node = structure.nodes_for(spec[1])[spec[2]]
         return node.matrix if isinstance(node, GenMatVec) else node.value
     raise CompileError(f"cannot resolve binding spec {spec!r}")

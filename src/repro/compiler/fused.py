@@ -28,11 +28,12 @@ that in:
   ``itemgetter`` over the register file.
 - CONST loads are hoisted: the plan records each CONST site by position
   and :meth:`FusedPlan.execute` preloads all of them in one
-  ``dict.update`` before any level runs.  A compilation-cache
-  **rebind** rewrites only those numeric slabs (and the EMBED factor
-  references); the plan itself is structure-keyed and is **never
-  rebuilt** — see :func:`~repro.compiler.cache.rebind`, which threads
-  the plan slot from the cached template onto every rebound program.
+  ``dict.update`` before any level runs.  New numerics change only
+  those values (and the EMBED factor references), never the plan: a
+  solve session (:class:`~repro.optim.compiled.CompiledSolver`)
+  rewrites them in place on its own program, and a compilation-cache
+  rebind (:func:`~repro.compiler.cache.rebind`) threads the plan slot
+  from the cached template onto every rebound program.
 - Bit-identity with the interpreter is engineered, not hoped for: the
   batched elementwise kernels perform the same per-element IEEE
   operations in the same order; stacked ``np.matmul`` runs the same
@@ -626,12 +627,13 @@ class FusedPlan:
     """A program lowered to preloaded constants plus fused level steps.
 
     Built once per structure (see :func:`plan_for`); executing it against
-    a rebound program only re-reads the CONST numeric slabs and the
-    EMBED factor references from the current instruction list.
-    Instruction metas are treated as immutable per ``Program`` object
-    (the repo-wide contract — rebinding produces fresh programs), which
-    lets constant values and constant operand stacks be memoized on the
-    program itself.
+    a rebound or refreshed program only re-reads the CONST numeric slabs
+    and the EMBED factor references from the current instruction list.
+    Instruction metas are immutable while a program runs, which lets
+    constant values and constant operand stacks be memoized on the
+    program itself.  Between runs, the solve session that owns a
+    program (:class:`~repro.optim.compiled.CompiledSolver`) may rewrite
+    its value sites in place; it then drops ``_fused_const_memo``.
     """
 
     __slots__ = ("instructions", "const_sites", "const_ports", "steps",
@@ -693,8 +695,11 @@ class FusedPlan:
         memoized on the program object together with the plan that
         built them: a rebind produces a fresh ``Program`` and an in-place
         ``Program.extend`` a fresh plan (either invalidates the memo),
-        while repeat executions of the same program (solver iterations
-        on one binding, bench repeats) reuse them at zero marginal cost.
+        while repeat executions of the same program (bench repeats)
+        reuse them at zero marginal cost.  Metas are immutable while the
+        program runs; a solve session that rewrites its program's value
+        sites between runs drops ``program._fused_const_memo`` so the
+        next preload re-reads them.
         """
         registers = executor.registers
         memo = getattr(program, "_fused_const_memo", None)
@@ -786,9 +791,10 @@ class _PlanBuilder:
 def build_plan(program: Program, label: str = "") -> FusedPlan:
     """Lower one program into a :class:`FusedPlan` (structure only).
 
-    Safe to reuse across compilation-cache rebinds of the same template:
-    the plan references instructions by position and registers by name,
-    both invariant under rebinding.
+    Safe to reuse across compilation-cache rebinds of the same template
+    and across solve-session refreshes: the plan references instructions
+    by position and registers by name, both invariant under new
+    numerics.
     """
     levels = program.levels()
     const_sites: List[Tuple[int, str]] = []

@@ -29,6 +29,14 @@ class Factor:
         The variable nodes this factor connects, in Jacobian-block order.
     noise:
         Noise model whose dimension equals the residual dimension.
+
+    Factors are immutable once constructed: keys, measurements and noise
+    model never change.  A compiled solve session
+    (:class:`~repro.optim.compiled.CompiledSolver`) relies on this when
+    it resolves a factor's constants once and reuses them while the
+    same factor object comes back.  The one exception is the weight of
+    a :class:`~repro.factorgraph.robust.RobustNoiseModel`, which follows
+    the last residual it whitened; the session re-reads it every solve.
     """
 
     def __init__(self, keys: Sequence[Key], noise: NoiseModel):

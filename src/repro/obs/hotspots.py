@@ -12,7 +12,7 @@ Accepts either document flavor that can carry host wall-clock data:
 
 Renders the per-opcode self-time ranking (calls, total ms, ns/call,
 elements), the opcode x provenance-stage cross table, and the host
-phase timers (build / compile / rebind / execute / simulate).  A
+phase timers (build / compile / refresh / rebind / execute / simulate).  A
 document without any host wall-clock data renders a pointer to the
 producing commands instead of failing — older documents stay readable.
 """
@@ -33,7 +33,7 @@ PHASE_SPANS = (
     ("frame.build", "build"),
     ("compile_application", "compile"),
     ("codegen", "codegen"),
-    ("solve.compile", "solve compile/rebind"),
+    ("solve.compile", "solve compile/refresh"),
     ("compiler.cache.rebind", "rebind"),
     ("solve.execute", "execute"),
     ("bench.execute", "execute (bench)"),

@@ -118,11 +118,13 @@ def gauss_newton(
 
     ``backend="reference"`` (the default) linearizes and solves each
     iteration with the numpy elimination path.  ``backend="compiled"``
-    solves through the ORIANNA compiler with the structural compilation
-    cache: the first iteration compiles the graph, every later iteration
-    rebinds the cached template with fresh numerics (compile once, bind
-    many).  The compiled backend reports empty per-iteration elimination
-    stats (QR shapes live in the compiled program, not the solver).
+    solves through the ORIANNA compiler in one solve session
+    (:class:`~repro.optim.compiled.CompiledSolver`): the first iteration
+    compiles the graph, every later iteration refreshes that program's
+    value-bearing constants in place and runs it again (compile once,
+    execute many).  The compiled backend reports empty per-iteration
+    elimination stats (QR shapes live in the compiled program, not the
+    solver).
     ``backend="fused"`` is the compiled backend executed through the
     fused vectorized plan (:mod:`repro.compiler.fused`) — bit-identical
     results, batched NumPy dispatch.  ``backend="supervised"`` runs each
@@ -168,11 +170,16 @@ def gauss_newton(
         return _lm_fallback(graph, values, params, iteration, ordering,
                             backend, budget, records)
 
+    # The current iterate's error, once known: an accepted step
+    # already computed it as error_after, so only the initial estimate
+    # is evaluated.
+    error = None
     for iteration in range(params.max_iterations):
         budget.check(iteration)
         with trace.span("gn.iteration", category="optimizer",
                         iteration=iteration, backend=backend) as sp:
-            error_before = graph.error(values)
+            error_before = graph.error(values) if error is None \
+                else error
             if not is_finite_scalar(error_before):
                 return degraded(iteration, "residual error")
             try:
@@ -203,7 +210,7 @@ def gauss_newton(
                 # Keep the pre-step iterate: the step itself is what
                 # left the feasible region.
                 return degraded(iteration, "post-step residual error")
-            values = trial
+            values, error = trial, error_after
             sp.set(error_before=error_before, error_after=error_after,
                    step_norm=norm)
             record_iteration("gn", error_after, norm)

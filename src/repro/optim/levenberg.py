@@ -80,14 +80,16 @@ def levenberg_marquardt(
     """Run LM on ``graph`` starting from ``initial``.
 
     ``backend="compiled"`` solves every damped trial through the ORIANNA
-    compiler with the structural compilation cache: damping is expressed
-    as per-variable prior factors at the current estimate (which
-    linearize to exactly the ``sqrt(lambda) I`` rows of
-    :func:`damped_graph`), so the damped graph's structure is the same
-    for every iteration and every lambda trial — one compile, then
-    rebinds.  The compiled backend reports empty per-trial elimination
-    stats.  ``backend="fused"`` is the compiled backend executed through
-    the fused vectorized plan (:mod:`repro.compiler.fused`).
+    compiler in one solve session (:class:`~repro.optim.compiled.
+    CompiledSolver`): damping is expressed as per-variable prior factors
+    at the current estimate (which linearize to exactly the
+    ``sqrt(lambda) I`` rows of :func:`damped_graph`), so the damped
+    graph's structure is the same for every iteration and every lambda
+    trial — one compile, then in-place refreshes that also re-resolve
+    the fresh damping priors' constants.  The compiled backend reports
+    empty per-trial elimination stats.  ``backend="fused"`` is the
+    compiled backend executed through the fused vectorized plan
+    (:mod:`repro.compiler.fused`).
     ``backend="supervised"`` (or a process-wide
     :func:`repro.resilience.supervisor.enable_supervision`) runs every
     damped trial through the supervised pipeline — deadlines, bounded
@@ -120,11 +122,16 @@ def levenberg_marquardt(
     converged = False
     budget = SolveBudget(params.max_wall_clock_s, label="levenberg_marquardt")
 
+    # The current iterate's error, once known: an accepted trial
+    # already computed it as error_after, so only the initial estimate
+    # is evaluated.
+    error = None
     for iteration in range(params.max_iterations):
         budget.check(iteration)
         with trace.span("lm.iteration", category="optimizer",
                         iteration=iteration, backend=backend) as sp:
-            error_before = graph.error(values)
+            error_before = graph.error(values) if error is None \
+                else error
             if not is_finite_scalar(error_before):
                 # The *current* iterate is already corrupt — damping
                 # cannot help because there is no finite reference to
@@ -185,7 +192,7 @@ def levenberg_marquardt(
                     continue
                 if error_after <= error_before:
                     accepted = True
-                    values = trial_values
+                    values, error = trial_values, error_after
                     sp.set(error_before=error_before,
                            error_after=error_after, step_norm=norm,
                            damping=lam, trials=trials)

@@ -8,6 +8,12 @@ order, and the reference solvers.  Any scheduling bug that violates a
 true data dependency, any codegen bug that mis-links the QR elimination
 tree, or any fused-grouping bug that changes a reduction order, breaks
 the agreement.
+
+A fifth evaluation covers solve sessions: at every iteration of a GN
+and an LM run, the refreshed session program must return the update a
+cold compile of the same ``(graph, values)`` returns on the same
+executor, bit for bit, on the interpreter and on the fused backend.  A
+refresh that misses a value site, or writes a stale one, breaks it.
 """
 
 import io
@@ -15,11 +21,21 @@ import io
 import numpy as np
 import pytest
 
-from repro.compiler import Executor, FusedExecutor, cached_compile_graph
+from repro.compiler import (
+    Executor,
+    FusedExecutor,
+    cached_compile_graph,
+    compile_graph,
+    executor_factory,
+    set_default_executor,
+)
 from repro.factorgraph import solve
 from repro.factorgraph.g2o import load_g2o
+from repro.optim import gauss_newton, levenberg_marquardt
+from repro.optim.compiled import CompiledSolver
 
 from tests.diff.util import (
+    assert_deltas_identical,
     dense_reference,
     divergence_forensics,
     random_problem,
@@ -77,13 +93,41 @@ def check_oracles(graph, values, atol=1e-8):
         assert np.allclose(executed[key], dense[key], atol=1e-6)
 
 
+def check_session_parity(graph, values, monkeypatch):
+    """Every session solve of a GN and an LM run equals a cold compile."""
+    original = CompiledSolver.solve
+    checked = []
+
+    def solve(self, graph, values, ordering=None):
+        delta = original(self, graph, values, ordering)
+        cold = compile_graph(graph, values, ordering)
+        registers = executor_factory(self.executor)().run(cold.program)
+        assert_deltas_identical(
+            delta, cold.extract_solution(registers),
+            f"solve {len(checked)} on {self.executor or 'interpreter'}:")
+        checked.append(self.executor)
+        return delta
+
+    monkeypatch.setattr(CompiledSolver, "solve", solve)
+    previous = set_default_executor("interpreter")
+    try:
+        for backend in ("compiled", "fused"):
+            gauss_newton(graph, values, backend=backend)
+            levenberg_marquardt(graph, values, backend=backend)
+    finally:
+        set_default_executor(previous)
+    # Both executors ran, each for more than the first (cold) solve.
+    assert checked.count(None) > 2 and checked.count("fused") > 2
+
+
 @pytest.mark.parametrize("structure_seed", range(4))
-def test_random_graph_oracles(structure_seed):
+def test_random_graph_oracles(structure_seed, monkeypatch):
     graph, values = random_problem(structure_seed, structure_seed + 5000)
     check_oracles(graph, values)
+    check_session_parity(graph, values, monkeypatch)
 
 
-def test_g2o_graph_oracles():
+def test_g2o_graph_oracles(monkeypatch):
     graph, values = load_g2o(io.StringIO(G2O_2D))
     # Anchor the gauge so the system is well-posed.
     from repro.factorgraph import Isotropic, X
@@ -91,6 +135,7 @@ def test_g2o_graph_oracles():
 
     graph.add(PriorFactor(X(0), values.at(X(0)), Isotropic(3, 0.01)))
     check_oracles(graph, values)
+    check_session_parity(graph, values, monkeypatch)
 
 
 @pytest.mark.slow

@@ -14,6 +14,8 @@ Graph *structure* and *values* are seeded independently so cache tests
 can generate many graphs that share one compiled template.
 """
 
+import functools
+
 import numpy as np
 
 from repro.compiler import Executor
@@ -194,3 +196,32 @@ def divergence_forensics(program_a, program_b, align="uid",
 def dense_reference(graph: FactorGraph, values: Values):
     """Dense NumPy least-squares solve of the linearized system."""
     return graph.linearize(values).solve_dense()
+
+
+def call_counter(monkeypatch, owner, name):
+    """Count calls to ``owner.<name>`` by wrapping the binding in place.
+
+    Like the layer tracer of the end-to-end benchmark, the wrapper
+    replaces the attribute its callers look up (a module global or a
+    class attribute), so counting needs no counter in the library.
+    Returns a one-element list holding the running count.
+    """
+    original = getattr(owner, name)
+    calls = [0]
+
+    @functools.wraps(original)
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def assert_deltas_identical(got, expected, context=""):
+    """Per-variable updates equal bit for bit (shape, dtype and bytes)."""
+    assert got.keys() == expected.keys(), context
+    for key, value in expected.items():
+        other = got[key]
+        assert other.shape == value.shape and other.dtype == value.dtype \
+            and other.tobytes() == value.tobytes(), f"{context} {key}"

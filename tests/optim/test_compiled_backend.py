@@ -1,9 +1,10 @@
 """The compiled optimizer backend matches the reference solver.
 
 ``backend="compiled"`` routes each linear solve through the compiled
-instruction stream (via the compilation cache: one structural compile,
-one rebind per iteration).  Both optimizers must converge to the same
-error and the same estimates as the reference sparse elimination.
+instruction stream (one solve session per optimizer call: a cold
+compile, then an in-place refresh per iteration).  Both optimizers must
+converge to the same error and the same estimates as the reference
+sparse elimination.
 """
 
 import numpy as np
@@ -12,7 +13,11 @@ import pytest
 from repro.optim import gauss_newton, levenberg_marquardt
 from repro.optim.compiled import CompiledSolver, damped_nonlinear_graph
 
-from tests.diff.util import random_problem
+from tests.diff.util import (
+    assert_deltas_identical,
+    call_counter,
+    random_problem,
+)
 
 
 def _values_close(a, b, atol=1e-6):
@@ -53,16 +58,21 @@ def test_unknown_backend_rejected():
         levenberg_marquardt(graph, values, backend="quantum")
 
 
-def test_compiled_solver_caches_across_iterations():
+def test_compiled_solver_compiles_once_then_refreshes(monkeypatch):
+    """The second solve refreshes the first solve's program in place."""
+    from repro.compiler import codegen
+
+    compiles = call_counter(monkeypatch, codegen, "compile_graph")
     graph, values = random_problem(2, 5)
     solver = CompiledSolver()
     solver.solve(graph, values)
+    program = solver.compiled.program
     stepped = values.retract({k: 0.01 * np.ones(values.dim(k))
                               for k in values.keys()})
-    solver.solve(graph, stepped)
-    stats = solver.cache.stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] == 1
+    delta = solver.solve(graph, stepped)
+    assert compiles[0] == 1
+    assert solver.compiled.program is program
+    assert_deltas_identical(delta, CompiledSolver().solve(graph, stepped))
 
 
 def test_damped_graph_matches_reference_normal_equations():
