@@ -3,9 +3,10 @@
 Runs the paper's application workloads on the representative ORIANNA
 accelerator and writes a schema-versioned ``BENCH_*.json`` document
 (cycles, energy, utilization, provenance attribution per workload).
-``python -m repro.obs diff`` compares two such documents and exits
-nonzero on regressions, which is how CI gates performance against the
-committed baseline in ``benchmarks/baseline/``.
+Every field is a model output, deterministic per seed.
+``python -m repro.obs diff --exact`` compares two such documents and
+exits nonzero on any difference, which is how CI gates the model
+against the committed baseline in ``benchmarks/baseline/``.
 """
 
 from repro.bench.core import (
@@ -15,31 +16,15 @@ from repro.bench.core import (
     run_bench,
     write_bench,
 )
-from repro.bench.diff import (
-    EXACT_SKIP_SECTIONS,
-    NONDETERMINISTIC_SECTIONS,
-    diff_documents,
-    render_diff,
-)
-from repro.bench.history import (
-    HISTORY_SCHEMA,
-    append_history,
-    history_entry,
-    load_history,
-)
+from repro.bench.diff import EXACT_SKIP_SECTIONS, diff_documents, render_diff
 
 __all__ = [
     "BENCH_SCHEMA",
-    "HISTORY_SCHEMA",
     "EXACT_SKIP_SECTIONS",
-    "NONDETERMINISTIC_SECTIONS",
     "bench_document",
     "load_bench",
     "run_bench",
     "write_bench",
     "diff_documents",
     "render_diff",
-    "append_history",
-    "history_entry",
-    "load_history",
 ]

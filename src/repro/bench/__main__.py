@@ -1,16 +1,12 @@
 """Benchmark CLI: ``python -m repro.bench [--quick]``.
 
 Runs the application workload suite and writes ``BENCH_<mode>.json``
-(override with ``--output``).  Compare two documents with::
+(override with ``--output``).  The document carries model outputs only
+(cycles, energy, attribution); compare two documents with::
 
-    python -m repro.obs diff old.json new.json --threshold 0.10
+    python -m repro.obs diff old.json new.json --exact
 
-Unless ``--no-wallclock`` is given, the document carries a
-``solve_wall_clock`` section (``--repeat N`` timed interpretations per
-app, median + MAD + per-opcode profile) and one history entry is
-appended to ``benchmarks/history/solve_wallclock.jsonl`` (``--history-dir``
-to relocate, ``--no-history`` to skip) — the series
-``python -m repro.obs trend`` renders and gates on.
+Host wall-clock is measured end to end by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -19,19 +15,8 @@ import argparse
 import sys
 import time
 
-from repro.bench.core import (
-    DEFAULT_WALLCLOCK_REPEATS,
-    run_bench,
-    summarize,
-    write_bench,
-)
-from repro.bench.history import (
-    DEFAULT_HISTORY_DIR,
-    append_history,
-    history_entry,
-)
+from repro.bench.core import run_bench, summarize, write_bench
 from repro.compiler.cache import set_cache_enabled
-from repro.compiler.fused import EXECUTOR_NAMES, set_default_executor
 
 
 def main(argv=None) -> int:
@@ -44,64 +29,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", metavar="FILE",
                         help="output path (default BENCH_<mode>.json)")
-    parser.add_argument("--compile-repeats", type=int, default=3,
-                        metavar="N",
-                        help="frame compiles per app for the compile-time "
-                             "measurement (default 3)")
-    parser.add_argument("--repeat", type=int,
-                        default=DEFAULT_WALLCLOCK_REPEATS, metavar="N",
-                        help="timed interpreter executions per app for "
-                             "the solve_wall_clock section (default "
-                             f"{DEFAULT_WALLCLOCK_REPEATS})")
-    parser.add_argument("--no-wallclock", action="store_true",
-                        help="skip the solve_wall_clock measurement "
-                             "(also skips the history append)")
-    parser.add_argument("--history-dir", metavar="DIR",
-                        default=DEFAULT_HISTORY_DIR,
-                        help="where the wall-clock history JSONL lives "
-                             f"(default {DEFAULT_HISTORY_DIR})")
-    parser.add_argument("--no-history", action="store_true",
-                        help="do not append this run to the bench history")
     parser.add_argument("--no-compile-cache", action="store_true",
                         help="disable the structural compilation cache "
                              "(cold compile every frame)")
-    parser.add_argument("--executor", choices=EXECUTOR_NAMES,
-                        help="value-domain backend for compiled solves "
-                             "(default: $REPRO_EXECUTOR or interpreter); "
-                             "the solve_wall_clock section always "
-                             "measures both")
-    parser.add_argument("--supervise", action="store_true",
-                        help="run every optimizer solve through the "
-                             "supervised pipeline (deadlines, retry, "
-                             "fallback executor ladder); with no faults "
-                             "this is bit-identical to unsupervised")
     args = parser.parse_args(argv)
 
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
     if args.no_compile_cache:
         set_cache_enabled(False)
-    if args.executor:
-        set_default_executor(args.executor)
-    if args.supervise:
-        from repro.resilience.supervisor import enable_supervision
-
-        enable_supervision()
     started = time.perf_counter()
-    document = run_bench(quick=args.quick, seed=args.seed,
-                         compile_repeats=args.compile_repeats,
-                         wallclock_repeats=args.repeat,
-                         measure_wallclock=not args.no_wallclock)
+    document = run_bench(quick=args.quick, seed=args.seed)
     elapsed = time.perf_counter() - started
 
     path = args.output or f"BENCH_{document['mode']}.json"
     write_bench(path, document)
     print(summarize(document))
     print(f"wrote {path} in {elapsed:.1f}s")
-    if not args.no_wallclock and not args.no_history:
-        history_path = append_history(history_entry(document),
-                                      directory=args.history_dir)
-        print(f"appended bench history entry to {history_path}")
     return 0
 
 

@@ -5,38 +5,33 @@ latency/energy comparisons run (one steady-state frame per application,
 compiled through the standard pipeline, simulated on the representative
 ORIANNA accelerator).  Cycle counts are deterministic functions of the
 seed — latencies derive from operand shapes, not host timing — so two
-runs of the same tree produce identical workload metrics and the CI
-diff gate can use tight thresholds without flake.  (The ``compile``
-section records host wall-clock compile timings and is *not* gated.)
+runs of the same tree produce identical documents and the CI gate
+compares them exactly.  The document carries model outputs only: the
+``workloads`` entries, the advisory ``bottleneck`` hints, and in full
+mode the Fig. 13/14 ``tables``.
 
 Modes:
 
-- ``quick``: every application under the OoO controller only.  A few
-  seconds; this is what CI runs on every push.
+- ``quick``: every application under the OoO controller only.  About a
+  second; this is what CI runs on every push.
 - ``full``: adds the in-order and sequential controllers per workload
   plus the Fig. 13/14 comparison tables via the eval harness.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import statistics
-import time
 from typing import Any, Dict, List, Optional
 
 from repro.apps import all_applications
-from repro.compiler.cache import cache_enabled
 from repro.eval.experiments import ORIANNA_CONFIG, experiment_fig13_fig14
-from repro.obs import fleet, trace, wallclock
+from repro.obs import trace
 from repro.sim import Simulator
 
 BENCH_SCHEMA = "repro.bench/1"
 
 QUICK_POLICIES = ("ooo",)
 FULL_POLICIES = ("ooo", "inorder", "sequential")
-
-DEFAULT_WALLCLOCK_REPEATS = 5
 
 
 def _workload_entry(result) -> Dict[str, Any]:
@@ -86,188 +81,40 @@ def _bottleneck_entry(result, config) -> Optional[Dict[str, Any]]:
     return entry
 
 
-def _timed_runs(executor_class, program, repeats: int) -> List[float]:
-    times_s: List[float] = []
-    for _ in range(repeats):
-        started = time.perf_counter_ns()
-        executor_class().run(program)
-        times_s.append((time.perf_counter_ns() - started) / 1e9)
-    return times_s
-
-
-def _timing_stats(times_s: List[float]) -> Dict[str, Any]:
-    median = statistics.median(times_s)
-    mad = statistics.median([abs(t - median) for t in times_s])
-    return {
-        "median_s": median,
-        "mad_s": mad,
-        "mean_s": sum(times_s) / len(times_s),
-        "min_s": min(times_s),
-        "max_s": max(times_s),
-    }
-
-
-def _solve_wallclock_entry(program, repeats: int) -> Dict[str, Any]:
-    """Host wall-clock of executing one app's frame, ``repeats`` times.
-
-    Each repeat runs a fresh executor over the already-compiled program
-    — pure MO-ISA execution, no build/compile time — timed with
-    ``perf_counter_ns``.  The summary is median + MAD (robust to
-    scheduler noise), plus one extra *profiled* repeat whose per-opcode
-    self-time table ships as ``profile`` (kept out of the timing
-    statistics: profiling perturbs them).
-
-    Both value-domain backends are measured: the instruction-level
-    interpreter (top-level fields, the historical series) and the fused
-    vectorized plan (the ``fused`` sub-entry, with its plan summary and
-    the fused-vs-interpreter ``speedup``) — so ``repro.obs trend`` holds
-    the fused win over time as its own ``<app>[fused]`` series.
-    """
-    from repro.compiler.executor import Executor
-    from repro.compiler.fused import FusedExecutor, plan_for
-
-    with trace.span("bench.execute", category="host.phase",
-                    instructions=len(program.instructions)):
-        times_s = _timed_runs(Executor, program, repeats)
-        plan = plan_for(program)  # build outside the timed repeats
-        fused_times_s = _timed_runs(FusedExecutor, program, repeats)
-    registry = fleet.active()
-    if registry is not None:
-        # Per-repeat host latencies feed the fleet sketch (the app label
-        # comes from the ambient label scope run_bench establishes).
-        for executor, samples in (("interpreter", times_s),
-                                  ("fused", fused_times_s)):
-            for sample_s in samples:
-                registry.incr(fleet.M_SOLVE_TOTAL, executor=executor)
-                registry.observe(fleet.M_SOLVE_LATENCY, sample_s,
-                                 executor=executor)
-    with wallclock.profiled_scope() as profiler:
-        Executor().run(program)
-    entry = _timing_stats(times_s)
-    fused_entry = _timing_stats(fused_times_s)
-    fused_entry["speedup"] = (
-        entry["median_s"] / fused_entry["median_s"]
-        if fused_entry["median_s"] > 0 else 1.0)
-    fused_entry["plan"] = plan.summary()
-    entry.update({
-        "instructions": len(program.instructions),
-        "profile": profiler.drain(),
-        "fused": fused_entry,
-    })
-    return entry
-
-
-def run_bench(quick: bool = True, seed: int = 0,
-              compile_repeats: int = 3,
-              wallclock_repeats: int = DEFAULT_WALLCLOCK_REPEATS,
-              measure_wallclock: bool = True) -> Dict[str, Any]:
+def run_bench(quick: bool = True, seed: int = 0) -> Dict[str, Any]:
     """Simulate every application workload; return the BENCH document.
 
-    Besides the (deterministic) cycle/energy workload entries, the
-    document records a ``compile`` section measuring repeated-structure
-    frame compiles per application: ``compile_repeats`` frames with
-    consecutive seeds share graph structure, so with the compilation
-    cache on every frame after the first is a rebind.  These wall-clock
-    fields are host-timing dependent — the ``repro.obs diff`` gate
-    ignores them and compares only the workload metrics.
-
-    With ``measure_wallclock`` (the default) the document also carries a
-    ``solve_wall_clock`` section: per app, ``wallclock_repeats`` timed
-    interpretations of the compiled frame (median + MAD + a per-opcode
-    profile) plus the host fingerprint.  Like ``compile``, the section
-    is excluded from the ``diff --exact`` parity comparison (see
-    :data:`repro.bench.diff.EXACT_SKIP_SECTIONS`).
+    One frame per application is compiled and simulated under each
+    policy of the mode.  Every field is a model output, so two runs of
+    the same tree and seed write the same document.  Host time is
+    measured end to end by ``benchmarks/e2e``, not here.
     """
-    from repro.bench.history import host_fingerprint
-
-    if compile_repeats < 1:
-        raise ValueError("compile_repeats must be >= 1")
-    if wallclock_repeats < 1:
-        raise ValueError("wallclock_repeats must be >= 1")
     policies = QUICK_POLICIES if quick else FULL_POLICIES
     sim = Simulator(ORIANNA_CONFIG)
     workloads: Dict[str, Any] = {}
     bottleneck_section: Dict[str, Any] = {}
-    compile_apps: Dict[str, Any] = {}
-    wallclock_apps: Dict[str, Any] = {}
-    total_compile_s = 0.0
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(trace.span("bench", category="bench",
-                                       mode="quick" if quick else "full"))
-        registry = None
-        if measure_wallclock:
-            # Fleet telemetry rides along with the wall-clock section:
-            # a --no-wallclock run carries neither, which keeps the
-            # supervised-parity exact gate byte-identical.
-            registry = stack.enter_context(fleet.fleet_scope())
-            stack.enter_context(fleet.label_scope(session="bench"))
+    with trace.span("bench", category="bench",
+                    mode="quick" if quick else "full"):
         for app in all_applications():
-            with fleet.label_scope(app=app.name):
-                times = []
-                program = None
-                for repeat in range(compile_repeats):
-                    started = time.perf_counter()
-                    compiled = app.compile_frame(seed + repeat)
-                    times.append(time.perf_counter() - started)
-                    if repeat == 0:
-                        program = compiled
-                warm = times[1:] or times
-                warm_mean = sum(warm) / len(warm)
-                compile_apps[app.name] = {
-                    "cold_s": times[0],
-                    "warm_mean_s": warm_mean,
-                    "speedup": times[0] / warm_mean
-                    if warm_mean > 0 else 1.0,
-                }
-                total_compile_s += sum(times)
-                if measure_wallclock:
-                    wallclock_apps[app.name] = _solve_wallclock_entry(
-                        program, wallclock_repeats)
-                for policy in policies:
-                    result = sim.run(program, policy)
-                    key = f"{app.name}/{policy}"
-                    workloads[key] = _workload_entry(result)
-                    hint = _bottleneck_entry(result, ORIANNA_CONFIG)
-                    if hint:
-                        bottleneck_section[key] = hint
-            if registry is not None:
-                registry.advance_window(app.name)
-        fleet_section: Optional[Dict[str, Any]] = None
-        if registry is not None:
-            snap = registry.snapshot()
-            if snap["series"] or snap["windows"]:
-                fleet_section = snap
-
-    compile_section = {
-        "cache_enabled": cache_enabled(),
-        "repeats": compile_repeats,
-        "total_s": total_compile_s,
-        "apps": compile_apps,
-    }
-    wallclock_section: Optional[Dict[str, Any]] = None
-    if measure_wallclock:
-        wallclock_section = {
-            "repeats": wallclock_repeats,
-            "host": host_fingerprint(),
-            "apps": wallclock_apps,
-        }
+            program = app.compile_frame(seed)
+            for policy in policies:
+                result = sim.run(program, policy)
+                key = f"{app.name}/{policy}"
+                workloads[key] = _workload_entry(result)
+                hint = _bottleneck_entry(result, ORIANNA_CONFIG)
+                if hint:
+                    bottleneck_section[key] = hint
     tables: List[Dict[str, Any]] = []
     if not quick:
         speed, energy = experiment_fig13_fig14(seed=seed)
         tables = [speed.to_dict(), energy.to_dict()]
     return bench_document(workloads, quick=quick, seed=seed, tables=tables,
-                          compile_section=compile_section,
-                          bottleneck_section=bottleneck_section,
-                          wallclock_section=wallclock_section,
-                          fleet_section=fleet_section)
+                          bottleneck_section=bottleneck_section)
 
 
 def bench_document(workloads: Dict[str, Any], quick: bool, seed: int,
                    tables: Optional[List[Dict[str, Any]]] = None,
-                   compile_section: Optional[Dict[str, Any]] = None,
-                   bottleneck_section: Optional[Dict[str, Any]] = None,
-                   wallclock_section: Optional[Dict[str, Any]] = None,
-                   fleet_section: Optional[Dict[str, Any]] = None
+                   bottleneck_section: Optional[Dict[str, Any]] = None
                    ) -> Dict[str, Any]:
     document: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
@@ -275,20 +122,8 @@ def bench_document(workloads: Dict[str, Any], quick: bool, seed: int,
         "seed": seed,
         "workloads": workloads,
     }
-    if compile_section:
-        document["compile"] = compile_section
-    if wallclock_section:
-        # Host-timing dependent, like "compile": skipped by the exact
-        # parity gate via repro.bench.diff.EXACT_SKIP_SECTIONS.
-        document["solve_wall_clock"] = wallclock_section
-    if fleet_section:
-        # Mixed determinism: count-valued series are exact, wall-clock
-        # sketches are not.  The exact gate compares this section
-        # through repro.obs.fleet.exact_view, not byte-for-byte.
-        document["fleet"] = fleet_section
     if bottleneck_section:
-        # Advisory only: like "compile", this section is ignored by the
-        # repro.obs diff regression gate.
+        # Advisory only: ignored by the repro.obs diff regression gate.
         document["bottleneck"] = bottleneck_section
     if tables:
         document["tables"] = tables
@@ -325,43 +160,4 @@ def summarize(document: Dict[str, Any]) -> str:
             f"  {key:<28} {entry.get('total_cycles', 0):>10,} cycles  "
             f"{entry.get('energy_mj', 0.0):9.4f} mJ{cov}"
         )
-    compile_section = document.get("compile")
-    if compile_section:
-        state = "on" if compile_section.get("cache_enabled") else "off"
-        lines.append(
-            f"  compile: cache {state}, "
-            f"{compile_section.get('total_s', 0.0):.2f}s total over "
-            f"{compile_section.get('repeats', '?')} repeats/app"
-        )
-        for name in sorted(compile_section.get("apps", {})):
-            entry = compile_section["apps"][name]
-            lines.append(
-                f"    {name:<26} cold {entry['cold_s']:.3f}s  "
-                f"warm {entry['warm_mean_s']:.3f}s  "
-                f"({entry['speedup']:.1f}x)"
-            )
-    wallclock_section = document.get("solve_wall_clock")
-    if wallclock_section:
-        lines.append(
-            f"  solve wall-clock "
-            f"({wallclock_section.get('repeats', '?')} repeats/app):"
-        )
-        for name in sorted(wallclock_section.get("apps", {})):
-            entry = wallclock_section["apps"][name]
-            median_ms = float(entry.get("median_s", 0.0)) * 1e3
-            mad_ms = float(entry.get("mad_s", 0.0)) * 1e3
-            instrs = int(entry.get("instructions", 0))
-            per_us = (median_ms * 1e3 / instrs) if instrs else 0.0
-            lines.append(
-                f"    {name:<26} median {median_ms:8.2f} ms  "
-                f"+-{mad_ms:.2f} MAD  ({per_us:.2f} us/instr)"
-            )
-            fused = entry.get("fused")
-            if fused:
-                fused_ms = float(fused.get("median_s", 0.0)) * 1e3
-                lines.append(
-                    f"    {name + '[fused]':<26} median "
-                    f"{fused_ms:8.2f} ms  "
-                    f"({fused.get('speedup', 0.0):.2f}x vs interpreter)"
-                )
     return "\n".join(lines)

@@ -3,9 +3,10 @@
 ``python -m repro.obs diff old.json new.json --threshold 0.10`` compares
 matching workloads on total cycles and total energy; any metric where
 ``new > old * (1 + threshold)`` is a regression and makes the command
-exit nonzero, which is the CI gate.  Workloads present on only one side
-are reported but do not fail the gate (suites evolve); improvements are
-listed so wins are visible in the same output.
+exit nonzero.  Workloads present on only one side are reported but do
+not fail the gate (suites evolve); improvements are listed so wins are
+visible in the same output.  With ``--exact`` (the CI gate) any
+difference fails, in a metric, a workload's presence, or a section.
 """
 
 from __future__ import annotations
@@ -18,29 +19,14 @@ GATED_METRICS = (
     ("energy_mj", "energy"),
 )
 
-# The single shared allowlist of BENCH sections the exact parity gate
-# skips.  Everything else in the document must be bit-identical under
-# ``--exact``: "workloads" entries via the metric comparison below, any
-# other section via deep equality.  An emitter adding a new wall-clock
-# (or otherwise host-dependent) section lists it here **once** — no
-# ad-hoc key checks elsewhere — so timing sections can never break the
-# compile-cache parity CI gate.
-NONDETERMINISTIC_SECTIONS = (
-    "compile",            # host compile/rebind wall times
-    "solve_wall_clock",   # host interpreter wall times + fingerprint
-    "host",               # a bare host fingerprint section
-)
-# Advisory/derived sections the gate has always ignored (they restate
-# workload data or carry non-gated predictions).
-ADVISORY_SECTIONS = ("bottleneck", "tables")
-EXACT_SKIP_SECTIONS = NONDETERMINISTIC_SECTIONS + ADVISORY_SECTIONS
-
-# Mixed-determinism sections compared through a projection instead of
-# deep equality: "fleet" holds both exact count-valued series and
-# host-timing latency sketches, so the exact gate compares
-# ``repro.obs.fleet.exact_view`` of each side (wall-clock-unit series
-# dropped, everything else byte-compared).
-PROJECTED_SECTIONS = ("fleet",)
+# The BENCH sections the exact parity gate skips: advisory or derived
+# views that restate workload data or carry non-gated predictions.
+# Everything else must be bit-identical under ``--exact``: "workloads"
+# entries via the metric comparison below, any other section (a
+# campaign or chaos document's "fleet", say) via deep equality.  No
+# producer writes host timing into a BENCH document, so no section is
+# skipped for being nondeterministic.
+EXACT_SKIP_SECTIONS = ("bottleneck", "tables")
 
 
 def diff_documents(old: Dict[str, Any], new: Dict[str, Any],
@@ -48,9 +34,9 @@ def diff_documents(old: Dict[str, Any], new: Dict[str, Any],
                    exact: bool = False) -> Dict[str, Any]:
     """Compare two BENCH documents; returns comparisons + regressions.
 
-    With ``exact=True`` any metric difference in either direction is a
-    regression — the parity gate used to assert the compilation cache
-    produces bit-identical cycle/energy numbers to cold compilation.
+    With ``exact=True`` any difference in either direction is a
+    regression: the gate that holds a document to the committed
+    baseline, cached compilation to cold, and a campaign to its rerun.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
@@ -87,20 +73,12 @@ def diff_documents(old: Dict[str, Any], new: Dict[str, Any],
                 "old": float(key in old_wl), "new": float(key in new_wl),
                 "ratio": float("inf"),
             })
-        # Any section outside the shared skip allowlist must match
-        # deeply — the parity gate covers the whole document, and a new
-        # timing section opts out by joining EXACT_SKIP_SECTIONS, never
-        # by an ad-hoc key check here.
+        # Any section outside the skip list must match deeply: the
+        # parity gate covers the whole document.
         sections = (set(old) | set(new)) - {"workloads"} \
             - set(EXACT_SKIP_SECTIONS)
         for key in sorted(sections):
-            old_val, new_val = old.get(key), new.get(key)
-            if key in PROJECTED_SECTIONS:
-                from repro.obs.fleet import exact_view
-
-                old_val = exact_view(old_val) if old_val else old_val
-                new_val = exact_view(new_val) if new_val else new_val
-            if old_val != new_val:
+            if old.get(key) != new.get(key):
                 row = {
                     "workload": f"[section] {key}", "metric": "section",
                     "old": float(key in old), "new": float(key in new),

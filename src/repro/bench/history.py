@@ -1,40 +1,18 @@
-"""Bench history: a durable wall-clock time-series under version control.
+"""Host identity for wall-clock measurements.
 
-Every ``python -m repro.bench`` run appends one JSONL line to
-``benchmarks/history/solve_wallclock.jsonl`` (override with
-``--history-dir`` / disable with ``--no-history``), keyed by git SHA and
-timestamp, carrying each app's solve wall-clock median/MAD plus the host
-fingerprint.  ``python -m repro.obs trend`` renders the series and flags
-regressions when the latest median leaves the trailing noise band.
-
-Entries are wall-clock measurements: host-dependent, never part of the
-deterministic ``repro.obs diff --exact`` comparison (see
-``repro.bench.diff.EXACT_SKIP_SECTIONS``).  The file is append-only
-JSONL so concurrent or crashed runs can never corrupt prior entries,
-and unreadable lines are skipped (with a count) rather than fatal.
+``benchmarks/e2e`` attaches :func:`host_fingerprint` to every result it
+writes: timings are only comparable between runs on similar hosts.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-import subprocess
-import time
-from typing import Any, Dict, List, Optional, Tuple
-
-HISTORY_SCHEMA = "repro.bench.history/1"
-HISTORY_FILENAME = "solve_wallclock.jsonl"
-DEFAULT_HISTORY_DIR = os.path.join("benchmarks", "history")
+from typing import Any, Dict
 
 
 def host_fingerprint() -> Dict[str, Any]:
-    """The host identity attached to wall-clock measurements.
-
-    Timings are only comparable between runs on similar hosts; the
-    trend analysis surfaces the fingerprint so a step change can be
-    told apart from a regression.
-    """
+    """Python, NumPy, platform, machine and CPU count of this host."""
     import numpy
 
     return {
@@ -44,108 +22,3 @@ def host_fingerprint() -> Dict[str, Any]:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
     }
-
-
-def git_sha(cwd: Optional[str] = None) -> str:
-    """The current commit SHA, or ``"unknown"`` outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=cwd,
-            capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
-def history_entry(document: Dict[str, Any],
-                  sha: Optional[str] = None,
-                  timestamp: Optional[float] = None) -> Dict[str, Any]:
-    """One history line distilled from a BENCH document.
-
-    Raises ``ValueError`` when the document has no ``solve_wall_clock``
-    section (e.g. a ``--no-wallclock`` run): there is nothing to record.
-    """
-    section = document.get("solve_wall_clock")
-    if not section:
-        raise ValueError(
-            "BENCH document has no solve_wall_clock section "
-            "(was it produced with --no-wallclock?)"
-        )
-    apps: Dict[str, Any] = {}
-    for name, entry in (section.get("apps") or {}).items():
-        apps[name] = {
-            "median_s": entry.get("median_s"),
-            "mad_s": entry.get("mad_s"),
-            "instructions": entry.get("instructions"),
-        }
-        fused = entry.get("fused")
-        if fused:
-            # The fused backend's wall-clock rides along as its own
-            # series, so `repro.obs trend` holds the speedup win over
-            # time next to the interpreter baseline.
-            apps[f"{name}[fused]"] = {
-                "median_s": fused.get("median_s"),
-                "mad_s": fused.get("mad_s"),
-                "instructions": entry.get("instructions"),
-            }
-    when = time.time() if timestamp is None else float(timestamp)
-    return {
-        "schema": HISTORY_SCHEMA,
-        "sha": sha if sha is not None else git_sha(),
-        "timestamp": when,
-        "iso_time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(when)),
-        "mode": document.get("mode", "?"),
-        "seed": document.get("seed"),
-        "repeats": section.get("repeats"),
-        "host": section.get("host") or host_fingerprint(),
-        "apps": apps,
-    }
-
-
-def history_path(directory: str = DEFAULT_HISTORY_DIR) -> str:
-    return os.path.join(directory, HISTORY_FILENAME)
-
-
-def append_history(entry: Dict[str, Any],
-                   directory: str = DEFAULT_HISTORY_DIR) -> str:
-    """Append one entry to the history file; returns its path."""
-    os.makedirs(directory, exist_ok=True)
-    path = history_path(directory)
-    with open(path, "a") as fh:
-        json.dump(entry, fh, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_history(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """(entries in file order, count of skipped unreadable lines).
-
-    ``path`` may be the JSONL file itself or the directory holding it.
-    A missing file loads as an empty series — the trend command treats
-    that as "no history yet", not an error.
-    """
-    if os.path.isdir(path):
-        path = history_path(path)
-    entries: List[Dict[str, Any]] = []
-    skipped = 0
-    try:
-        fh = open(path)
-    except OSError:
-        return entries, skipped
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if entry.get("schema") != HISTORY_SCHEMA:
-                skipped += 1
-                continue
-            entries.append(entry)
-    return entries, skipped

@@ -7,9 +7,10 @@
   factor types/factors by cycles and energy, the algorithm-stage
   breakdown, the critical-path listing, and the slack histogram.
 - ``diff old.json new.json`` — compare two BENCH documents from
-  ``python -m repro.bench``; exits 1 when any workload's cycles or
-  energy regressed beyond ``--threshold`` (the CI gate), 2 when a
-  document is missing or unreadable.
+  ``python -m repro.bench`` (or campaign/chaos runs); exits 1 when any
+  workload's cycles or energy regressed beyond ``--threshold``, or
+  with ``--exact`` (the CI gate) on any difference outside the
+  advisory sections; 2 when a document is missing or unreadable.
 - ``bottleneck file.json`` — top-down cycle accounting: the
   makespan-identity line (chain compute + attributed wait), wait-cause
   breakdowns, the gating chain, unit contention, and the roofline, over
@@ -18,10 +19,11 @@
   enumerate config deltas (+1 unit instance, +1 issue width, policy,
   buffer), predict their payoff from the wait attribution, validate the
   top-k by resimulation, and report predicted-vs-measured speedup.
-- ``hotspots file.json`` — host wall-clock hotspot profile: per-opcode
-  interpreter self time (crossed with provenance stage) and the host
-  phase timers, over a metrics document (``--wallclock`` eval runs) or
-  a BENCH document's ``solve_wall_clock`` section.
+- ``hotspots file.json`` — host wall-clock hotspot profile of a metrics
+  document: the host phase timers, and the per-opcode executor self
+  time (crossed with provenance stage) when a profiled executor run
+  recorded one.  A BENCH document carries no host timing and renders
+  the no-data pointer.
 - ``fuse-report`` — level-ize each application's def-use DAG and report
   the independent same-opcode groups per level (sizes, shape
   histograms, batchable fractions) plus the interpreter-dispatch
@@ -29,12 +31,6 @@
   for ROADMAP item 2.  ``--validate`` cross-checks the prediction
   against the fused backend's actual plan group sizes and exits
   nonzero on disagreement.
-- ``trend [history]`` — render the bench wall-clock history series
-  (``benchmarks/history/``) per app and flag regressions when the
-  latest median leaves the trailing ``k x MAD`` noise band; exits 1 on
-  a flagged regression (``--warn-only``: only on a >= 2x hard one).
-  Histories shorter than ``--window`` report insufficient data and
-  exit 0 instead of judging from a degenerate sample.
 - ``vtrace`` — record a per-instruction value trace
   (:mod:`repro.obs.vtrace`) of one application frame: a blake2 digest
   per destination register plus provenance, streamed as chunked JSONL,
@@ -60,8 +56,8 @@
   rollups; ``--prom FILE`` / ``--jsonl FILE`` additionally export the
   Prometheus text exposition and the JSONL time series.
 
-``report``, ``profile``, ``bottleneck``, ``hotspots``, ``trend``,
-``fuse-report``, ``divergence``, ``slo``, and ``top`` all accept
+``report``, ``profile``, ``bottleneck``, ``hotspots``, ``fuse-report``,
+``divergence``, ``slo``, and ``top`` all accept
 ``--json FILE`` to additionally write their raw analysis as a
 machine-readable artifact.
 """
@@ -189,31 +185,6 @@ def main(argv=None) -> int:
                              "dispatch count against the fused backend's "
                              "actual plan group sizes; exit 1 on "
                              "disagreement")
-
-    trend_p = sub.add_parser(
-        "trend",
-        help="render the bench wall-clock history and flag regressions",
-    )
-    trend_p.add_argument("history", nargs="?",
-                         default=None,
-                         help="history JSONL file or its directory "
-                              "(default benchmarks/history)")
-    trend_p.add_argument("--append", metavar="BENCH_JSON",
-                         help="first append this BENCH document's entry "
-                              "to the history (the CI main-branch step)")
-    trend_p.add_argument("--window", type=int, default=8,
-                         help="trailing entries forming the baseline "
-                              "(default 8)")
-    trend_p.add_argument("--k", type=float, default=3.0,
-                         help="noise-band width in MADs (default 3.0)")
-    trend_p.add_argument("--hard-factor", type=float, default=2.0,
-                         help="median ratio that is a hard regression "
-                              "(default 2.0)")
-    trend_p.add_argument("--warn-only", action="store_true",
-                         help="exit nonzero only on hard (>= "
-                              "--hard-factor) regressions")
-    trend_p.add_argument("--json", metavar="FILE",
-                         help="also write the trend analysis as JSON")
 
     vtrace_p = sub.add_parser(
         "vtrace",
@@ -474,53 +445,6 @@ def main(argv=None) -> int:
 
             write_json(args.json, reports)
         print(render_fuse_report(reports, top=args.top))
-        return 0
-
-    if args.command == "trend":
-        from repro.bench.history import (
-            DEFAULT_HISTORY_DIR,
-            append_history,
-            history_entry,
-            load_history,
-        )
-        from repro.obs.trend import analyze_trend, render_trend
-
-        history = args.history or DEFAULT_HISTORY_DIR
-        if args.append:
-            import os
-
-            from repro.bench.core import load_bench
-
-            directory = history if not history.endswith(".jsonl") \
-                else os.path.dirname(history) or "."
-            try:
-                document = load_bench(args.append)
-                append_history(history_entry(document),
-                               directory=directory)
-            except (OSError, ValueError) as exc:
-                print(f"repro.obs trend: {exc}", file=sys.stderr)
-                return 2
-        try:
-            entries, skipped = load_history(history)
-            analysis = analyze_trend(entries, window=args.window,
-                                     k=args.k,
-                                     hard_factor=args.hard_factor)
-        except (OSError, ValueError) as exc:
-            print(f"repro.obs trend: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            from repro.obs.emit import write_json
-
-            write_json(args.json, {
-                "schema": "repro.obs.trend/1",
-                "skipped": skipped,
-                **analysis,
-            })
-        print(render_trend(analysis, skipped=skipped))
-        if analysis["hard"]:
-            return 1
-        if analysis["flagged"] and not args.warn_only:
-            return 1
         return 0
 
     if args.command == "vtrace":

@@ -1,25 +1,23 @@
 """Host wall-clock hotspot rendering: ``python -m repro.obs hotspots``.
 
-Accepts either document flavor that can carry host wall-clock data:
-
-- a **metrics** document (``repro.obs.metrics/1``) whose experiments
-  were run with ``python -m repro.eval --wallclock``: each entry then
-  carries a ``host_wallclock`` profiler snapshot plus the ``host.phase``
-  span timers in ``span_timings_s``;
-- a **BENCH** document (``repro.bench/1``) from ``python -m
-  repro.bench``: the ``solve_wall_clock`` section carries per-app
-  execute timings (median/MAD) and a per-opcode profile snapshot.
+Reads a **metrics** document (``repro.obs.metrics/1``) from ``python -m
+repro.eval --metrics``: the ``host.phase`` span timers in each entry's
+``span_timings_s`` and, with ``--wallclock``, a ``host_wallclock``
+profiler snapshot per entry.
 
 Renders the per-opcode self-time ranking (calls, total ms, ns/call,
 elements), the opcode x provenance-stage cross table, and the host
-phase timers (build / compile / refresh / rebind / execute / simulate).  A
-document without any host wall-clock data renders a pointer to the
-producing commands instead of failing — older documents stay readable.
+phase timers (build / compile / refresh / rebind / execute / simulate).
+The per-opcode tables fill only when an executor ran under
+:func:`repro.obs.wallclock.profiled_scope`; no ``repro.eval``
+experiment runs one, so they are empty today and the view says so.  A
+**BENCH** document (``repro.bench/1``) carries model outputs only and
+renders the same no-data pointer, so older documents stay readable.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
 from repro.obs.wallclock import merge_snapshots
@@ -36,19 +34,16 @@ PHASE_SPANS = (
     ("solve.compile", "solve compile/refresh"),
     ("compiler.cache.rebind", "rebind"),
     ("solve.execute", "execute"),
-    ("bench.execute", "execute (bench)"),
     ("simulate", "simulate"),
 )
 
 
 def _collect(document: Dict[str, Any]
-             ) -> Tuple[Dict[str, Any], Dict[str, float],
-                        Optional[Dict[str, Any]]]:
-    """(merged profile, phase seconds, bench solve section or None)."""
+             ) -> Tuple[Dict[str, Any], Dict[str, float]]:
+    """(merged per-opcode profile, host phase seconds)."""
     schema = document.get("schema")
     snapshots: List[Dict[str, Any]] = []
     phases: Dict[str, float] = {}
-    solve_section: Optional[Dict[str, Any]] = None
     if schema == METRICS_SCHEMA:
         for entry in document.get("experiments", []):
             snap = entry.get("host_wallclock")
@@ -56,59 +51,28 @@ def _collect(document: Dict[str, Any]
                 snapshots.append(snap)
             for name, seconds in (entry.get("span_timings_s") or {}).items():
                 phases[name] = phases.get(name, 0.0) + float(seconds)
-    elif schema == BENCH_SCHEMA:
-        solve_section = document.get("solve_wall_clock")
-        if solve_section:
-            for app in (solve_section.get("apps") or {}).values():
-                snap = app.get("profile")
-                if snap:
-                    snapshots.append(snap)
-    else:
+    elif schema != BENCH_SCHEMA:
         raise ValueError(
             f"unsupported schema {schema!r}: expected "
             f"{METRICS_SCHEMA!r} or {BENCH_SCHEMA!r}"
         )
-    return merge_snapshots(snapshots), phases, solve_section
+    return merge_snapshots(snapshots), phases
 
 
 def hotspots_payload(document: Dict[str, Any]) -> Dict[str, Any]:
     """JSON-ready host wall-clock profile (the ``--json`` sink)."""
-    profile, phases, solve_section = _collect(document)
+    profile, phases = _collect(document)
     return {
         "schema": "repro.obs.hotspots/1",
         "profile": profile,
         "phase_timings_s": phases,
-        "solve_wall_clock": solve_section,
     }
 
 
 def render_hotspots(document: Dict[str, Any], top: int = 10) -> str:
     """Render the host wall-clock hotspot view of one document."""
-    profile, phases, solve_section = _collect(document)
+    profile, phases = _collect(document)
     lines: List[str] = []
-
-    if solve_section:
-        host = solve_section.get("host") or {}
-        repeats = solve_section.get("repeats", "?")
-        lines.append(
-            f"solve wall-clock ({repeats} repeats/app, host: "
-            f"python {host.get('python', '?')}, "
-            f"numpy {host.get('numpy', '?')}, "
-            f"{host.get('cpu_count', '?')} cpus)"
-        )
-        lines.append("-" * 40)
-        for name in sorted(solve_section.get("apps") or {}):
-            app = solve_section["apps"][name]
-            median_ms = float(app.get("median_s", 0.0)) * 1e3
-            mad_ms = float(app.get("mad_s", 0.0)) * 1e3
-            instrs = int(app.get("instructions", 0))
-            per_us = (median_ms * 1e3 / instrs) if instrs else 0.0
-            lines.append(
-                f"  {name:<26} median {median_ms:9.2f} ms "
-                f"(+-{mad_ms:.2f} MAD)  {instrs:>7,} instrs  "
-                f"{per_us:6.2f} us/instr"
-            )
-        lines.append("")
 
     total_ns = int(profile.get("total_self_ns", 0))
     by_opcode = profile.get("by_opcode") or {}
@@ -132,11 +96,12 @@ def render_hotspots(document: Dict[str, Any], top: int = 10) -> str:
                      f"instructions "
                      f"({int(profile.get('programs', 0))} programs)")
     else:
-        lines.append(
-            "  (no per-opcode profile recorded; produce one with "
-            "`python -m repro.bench --quick` or "
-            "`python -m repro.eval --wallclock --metrics m.json`)"
-        )
+        lines.extend((
+            "  (no per-opcode profile recorded: only an executor run under",
+            "   repro.obs.wallclock.profiled_scope records one, and no",
+            "   repro.eval experiment runs an executor, so `python -m",
+            "   repro.eval --wallclock` records 0 programs)",
+        ))
 
     stage_rows: List[Tuple[str, str, Dict[str, Any]]] = []
     for op, stages in (profile.get("by_opcode_stage") or {}).items():

@@ -18,9 +18,9 @@ Consumes the ``fleet.solve.*`` metric family (see
 
 ``evaluate_slo`` checks each group against the targets; ``python -m
 repro.obs slo <document>`` renders the table and exits 1 on any breach.
-Documents: a BENCH JSON with a ``fleet`` section (bench, campaign,
-chaos) or a metrics JSON whose experiments carry ``fleet`` sections
-(merged across experiments).
+Documents: a campaign or chaos BENCH JSON with a ``fleet`` section, or
+a metrics JSON whose experiments carry ``fleet`` sections (merged
+across experiments).
 """
 
 from __future__ import annotations

@@ -16,10 +16,12 @@ cached — was unmeasured.  This module profiles it:
   disabled path costs one module-global read per ``run()`` call and the
   interpreter loop itself is untouched
   (``tests/compiler/test_executor_overhead.py`` holds the bound).
-- A drained snapshot is plain JSON-able data; it ships in BENCH
-  documents (``solve_wall_clock.apps.<name>.profile``) and metrics
-  entries (``host_wallclock``), both rendered by
-  ``python -m repro.obs hotspots``.
+- A drained snapshot is plain JSON-able data; it ships in the
+  ``host_wallclock`` entries of ``python -m repro.eval --wallclock``
+  metrics documents, rendered by ``python -m repro.obs hotspots``.  No
+  eval experiment runs an executor, so those snapshots count 0
+  programs; a per-opcode table needs a caller that runs one inside
+  :class:`profiled_scope`.
 
 Phase-level wall timers (build / compile / rebind / execute / simulate)
 are *not* recorded here — they go through the existing span collector
@@ -45,8 +47,8 @@ class WallclockProfiler:
 
     The table is keyed ``(opcode, provenance stage)``; cells accumulate
     call counts, self nanoseconds, and result element counts.  One
-    profiler may span many program executions (e.g. every repeat of a
-    bench run); :meth:`drain` returns the aggregate and resets it.
+    profiler may span many program executions (e.g. every experiment of
+    an eval run); :meth:`drain` returns the aggregate and resets it.
     """
 
     __slots__ = ("_table", "_programs")

@@ -78,7 +78,7 @@ class TestRunBench:
 
     def test_bottleneck_section_is_advisory_per_workload(self, document):
         # Present for every workload, analytic-only, and shaped for the
-        # CLI hint — and, like 'compile', invisible to the diff gate.
+        # CLI hint — and invisible to the diff gate.
         section = document["bottleneck"]
         assert set(section) == set(document["workloads"])
         for key, entry in section.items():
@@ -95,99 +95,6 @@ class TestRunBench:
         mutated["bottleneck"] = {}
         report = diff_documents(document, mutated, exact=True)
         assert report["regressions"] == []
-
-
-class TestSolveWallclock:
-    def test_section_covers_every_application(self, document):
-        from repro.apps import all_applications
-
-        section = document["solve_wall_clock"]
-        assert set(section["apps"]) == \
-            {app.name for app in all_applications()}
-        assert section["repeats"] >= 1
-        assert {"python", "numpy", "cpu_count"} <= set(section["host"])
-
-    def test_entries_carry_robust_statistics_and_a_profile(self,
-                                                           document):
-        for entry in document["solve_wall_clock"]["apps"].values():
-            assert entry["median_s"] > 0.0
-            assert entry["mad_s"] >= 0.0
-            assert entry["min_s"] <= entry["median_s"] <= entry["max_s"]
-            assert entry["instructions"] > 0
-            profile = entry["profile"]
-            # The profiled repeat interprets the same program once.
-            assert profile["programs"] == 1
-            assert profile["instructions"] == entry["instructions"]
-            assert profile["by_opcode"]
-
-    def test_measure_wallclock_off_omits_the_section(self):
-        from repro.bench.core import bench_document
-
-        document = bench_document({}, quick=True, seed=0,
-                                  wallclock_section=None)
-        assert "solve_wall_clock" not in document
-
-    def test_summarize_includes_wallclock_lines(self, document):
-        text = summarize(document)
-        assert "solve wall-clock" in text
-        assert "us/instr" in text
-
-    def test_section_ignored_by_the_exact_diff_gate(self, document):
-        mutated = copy.deepcopy(document)
-        mutated["solve_wall_clock"]["apps"] = {}
-        report = diff_documents(document, mutated, exact=True)
-        assert report["regressions"] == []
-
-    def test_unknown_sections_do_fail_the_exact_gate(self, document):
-        # The skip list is an allowlist: a section NOT on it must match
-        # deeply, so silent divergence can't hide outside "workloads".
-        mutated = copy.deepcopy(document)
-        mutated["mystery"] = {"anything": 1}
-        report = diff_documents(document, mutated, exact=True)
-        assert any(r["workload"] == "[section] mystery"
-                   for r in report["regressions"])
-        # Threshold (non-exact) mode stays workload-only.
-        loose = diff_documents(document, mutated, threshold=0.10)
-        assert not loose["regressions"]
-
-
-class TestFleetSection:
-    def test_document_carries_per_executor_latency_series(self, document):
-        fleet = document["fleet"]
-        assert fleet["schema"] == "repro.obs.fleet/1"
-        latency = [e for e in fleet["series"]
-                   if e["name"] == "fleet.solve.latency_s"]
-        executors = {e["labels"]["executor"] for e in latency}
-        assert executors == {"interpreter", "fused"}
-        apps = {e["labels"]["app"] for e in latency}
-        assert len(apps) >= 4
-        assert all(e["labels"]["session"] == "bench" for e in latency)
-        # One rollup window per application.
-        assert sorted(w["key"] for w in fleet["windows"]) == sorted(apps)
-
-    def test_wallclock_sketches_do_not_fail_the_exact_gate(self, document):
-        # Latency sketches are host timing; the exact gate compares the
-        # fleet section through exact_view, which drops seconds-unit
-        # series.
-        mutated = copy.deepcopy(document)
-        for entry in mutated["fleet"]["series"]:
-            if entry["unit"] == "seconds":
-                entry["sketch"]["sum"] += 1.0
-        report = diff_documents(document, mutated, exact=True)
-        assert report["regressions"] == []
-
-    def test_count_series_do_fail_the_exact_gate(self, document):
-        mutated = copy.deepcopy(document)
-        totals = [e for e in mutated["fleet"]["series"]
-                  if e["name"] == "fleet.solve.total"]
-        totals[0]["value"] += 1.0
-        report = diff_documents(document, mutated, exact=True)
-        assert any(r["workload"] == "[section] fleet"
-                   for r in report["regressions"])
-
-    def test_no_wallclock_run_has_no_fleet_section(self):
-        document = run_bench(quick=True, seed=0, measure_wallclock=False)
-        assert "fleet" not in document
 
 
 def regress(document, factor=1.2, metric="total_cycles"):
@@ -238,6 +145,38 @@ class TestDiff:
         assert "NewApp/ooo" in diff["only_new"]
         assert not diff["regressions"]
 
+    def test_unknown_sections_do_fail_the_exact_gate(self, document):
+        # The skip list is an allowlist: a section NOT on it must match
+        # deeply, so silent divergence can't hide outside "workloads".
+        mutated = copy.deepcopy(document)
+        mutated["mystery"] = {"anything": 1}
+        report = diff_documents(document, mutated, exact=True)
+        assert any(r["workload"] == "[section] mystery"
+                   for r in report["regressions"])
+        # Threshold (non-exact) mode stays workload-only.
+        loose = diff_documents(document, mutated, threshold=0.10)
+        assert not loose["regressions"]
+
+    def test_wallclock_fleet_series_fail_the_exact_gate(self, document):
+        # No BENCH producer writes host timing, so the exact gate
+        # compares a fleet section like any other: a seconds-unit
+        # latency series that differs is a difference.
+        from repro.obs import fleet
+
+        def with_latency(seconds):
+            registry = fleet.FleetRegistry()
+            registry.observe(fleet.M_SOLVE_LATENCY, seconds, app="App",
+                             executor="fused")
+            section = registry.snapshot()
+            assert [e["unit"] for e in section["series"]] == \
+                [fleet.UNIT_SECONDS]
+            return dict(copy.deepcopy(document), fleet=section)
+
+        report = diff_documents(with_latency(0.010), with_latency(0.020),
+                                exact=True)
+        assert [r["workload"] for r in report["regressions"]] == \
+            ["[section] fleet"]
+
 
 class TestDiffCli:
     def test_exit_zero_on_identical(self, document, tmp_path):
@@ -282,82 +221,50 @@ class TestDiffCli:
 
 
 class TestBenchCli:
-    """Flag wiring for ``python -m repro.bench`` (run_bench is stubbed
-    with a canned document so these stay fast)."""
-
-    def canned_document(self, wallclock=True):
+    def test_writes_the_run_bench_document(self, monkeypatch, tmp_path):
+        import repro.bench.__main__ as cli
         from repro.bench.core import bench_document
 
-        section = None
-        if wallclock:
-            section = {
-                "repeats": 2,
-                "host": {"python": "3.11"},
-                "apps": {"App": {"median_s": 0.01, "mad_s": 0.0,
-                                 "instructions": 5}},
-            }
-        return bench_document(
-            {"App/ooo": {"total_cycles": 1, "energy_mj": 1.0}},
-            quick=True, seed=0, wallclock_section=section)
-
-    def run_cli(self, monkeypatch, tmp_path, argv, wallclock=True):
-        import repro.bench.__main__ as cli
-
         captured = {}
+        workloads = {"App/ooo": {"total_cycles": 1, "energy_mj": 1.0}}
 
         def fake_run_bench(**kwargs):
             captured.update(kwargs)
-            return self.canned_document(wallclock=wallclock)
+            return bench_document(workloads, quick=True, seed=3)
 
         monkeypatch.setattr(cli, "run_bench", fake_run_bench)
         out = tmp_path / "BENCH.json"
-        history = tmp_path / "history"
-        rc = cli.main(argv + ["--output", str(out),
-                              "--history-dir", str(history)])
-        return rc, captured, history / "solve_wallclock.jsonl"
+        assert cli.main(["--quick", "--seed", "3",
+                         "--output", str(out)]) == 0
+        assert captured == {"quick": True, "seed": 3}
+        assert load_bench(out)["workloads"] == workloads
 
-    def test_repeat_flag_reaches_run_bench(self, monkeypatch, tmp_path):
-        rc, captured, _ = self.run_cli(
-            monkeypatch, tmp_path, ["--quick", "--repeat", "9"])
-        assert rc == 0
-        assert captured["wallclock_repeats"] == 9
-        assert captured["measure_wallclock"] is True
 
-    def test_no_wallclock_flag(self, monkeypatch, tmp_path):
-        rc, captured, history = self.run_cli(
-            monkeypatch, tmp_path, ["--quick", "--no-wallclock"],
-            wallclock=False)
-        assert rc == 0
-        assert captured["measure_wallclock"] is False
-        assert not history.exists()   # no section, no history append
-
-    def test_history_appended_by_default(self, monkeypatch, tmp_path):
-        rc, _, history = self.run_cli(
-            monkeypatch, tmp_path, ["--quick"])
-        assert rc == 0
-        lines = history.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["apps"]["App"]["median_s"] == 0.01
-
-    def test_no_history_flag_skips_the_append(self, monkeypatch,
-                                              tmp_path):
-        rc, _, history = self.run_cli(
-            monkeypatch, tmp_path, ["--quick", "--no-history"])
-        assert rc == 0
-        assert not history.exists()
-
-    def test_invalid_repeat_rejected(self, monkeypatch, tmp_path):
-        import repro.bench.__main__ as cli
-
-        with pytest.raises(SystemExit):
-            cli.main(["--quick", "--repeat", "0"])
+BASELINE = (pathlib.Path(__file__).resolve().parents[2]
+            / "benchmarks" / "baseline" / "BENCH_seed.json")
 
 
 class TestCommittedBaseline:
     def test_baseline_matches_current_tree(self, document):
         """The CI gate must be green on the committed baseline."""
-        path = (pathlib.Path(__file__).resolve().parents[2]
-                / "benchmarks" / "baseline" / "BENCH_seed.json")
-        baseline = load_bench(path)
+        baseline = load_bench(BASELINE)
         diff = diff_documents(baseline, document, threshold=0.10)
         assert not diff["regressions"], render_diff(diff)
+
+    def test_quick_document_is_model_outputs_only(self, document):
+        # No host-timing section: the whole quick document is exact
+        # against the committed baseline.
+        assert set(document) == {"schema", "mode", "seed", "workloads",
+                                 "bottleneck"}
+        diff = diff_documents(load_bench(BASELINE), document, exact=True)
+        assert not diff["regressions"], render_diff(diff)
+
+
+class TestHostFingerprint:
+    def test_fingerprint_fields(self):
+        from repro.bench.history import host_fingerprint
+
+        host = host_fingerprint()
+        assert set(host) >= {"python", "numpy", "platform", "machine",
+                             "cpu_count"}
+        assert host["cpu_count"] >= 1

@@ -1,9 +1,9 @@
 """Tests for the host hotspot renderer and the degradation guarantees.
 
-The second half pins the satellite requirement that every document
-consumer (``profile``, ``bottleneck``, ``hotspots``, ``trend``) stays
-usable on **older** documents that predate this release's sections: a
-clear message and exit 0, never a traceback.
+The second half pins the requirement that every document consumer
+(``profile``, ``bottleneck``, ``hotspots``) stays usable on **older**
+documents that predate this release's sections: a clear message and
+exit 0, never a traceback.
 """
 
 import json
@@ -30,22 +30,6 @@ def profiled_snapshot():
     return profiler.drain()
 
 
-def bench_with_profile():
-    return {
-        "schema": "repro.bench/1", "mode": "quick", "seed": 0,
-        "workloads": {"App/ooo": {"total_cycles": 1, "energy_mj": 1.0}},
-        "solve_wall_clock": {
-            "repeats": 3,
-            "host": {"python": "3.11", "numpy": "2.0", "cpu_count": 4},
-            "apps": {
-                "App": {"median_s": 0.025, "mad_s": 0.001,
-                        "instructions": 2,
-                        "profile": profiled_snapshot()},
-            },
-        },
-    }
-
-
 def metrics_with_wallclock():
     return {
         "schema": METRICS_SCHEMA, "meta": {},
@@ -60,9 +44,7 @@ def metrics_with_wallclock():
 
 class TestRenderHotspots:
     def test_bench_document(self):
-        text = render_hotspots(bench_with_profile())
-        assert "solve wall-clock (3 repeats/app" in text
-        assert "App" in text
+        text = render_hotspots(metrics_with_wallclock())
         assert "const" in text and "copy" in text
         assert "opcode x stage" in text
 
@@ -83,8 +65,8 @@ class TestRenderHotspots:
             render_hotspots({"schema": "someone-else/9"})
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(bench_with_profile()))
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(metrics_with_wallclock()))
         assert obs_main(["hotspots", str(path)]) == 0
         capsys.readouterr()
         bogus = tmp_path / "bogus.json"
@@ -93,14 +75,15 @@ class TestRenderHotspots:
         assert "repro.obs hotspots: " in capsys.readouterr().err
 
     def test_cli_json_artifact(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(bench_with_profile()))
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(metrics_with_wallclock()))
         artifact = tmp_path / "hotspots.json"
         assert obs_main(["hotspots", str(path),
                          "--json", str(artifact)]) == 0
         payload = json.loads(artifact.read_text())
         assert payload["schema"] == "repro.obs.hotspots/1"
-        assert payload["solve_wall_clock"]["apps"]["App"]
+        assert set(payload["profile"]["by_opcode"]) == {"const", "copy"}
+        assert payload["phase_timings_s"]["simulate"] == 0.5
 
 
 def old_bench(tmp_path):
