@@ -17,7 +17,9 @@ runs on the ``reference``, ``compiled`` and ``fused`` backends.  The
 compiled backend executes on the process-default executor; the fused
 backend is bit-identical to the interpreter, so the ``compiled`` and
 ``fused`` digests are equal and the test holds under
-``REPRO_EXECUTOR=fused`` too.
+``REPRO_EXECUTOR=fused`` too.  The ``supervised`` backend with no fault
+injected must reproduce each ``fused`` digest; it has no entries of its
+own.
 
 The digests in ``golden/solve_digests.json`` were produced by the loops
 that re-fingerprinted and rebound the graph on every linear solve and
@@ -139,6 +141,16 @@ def test_compiled_and_fused_digests_agree():
             fused = case_id((graph_name, solve, "fused"))
             assert golden[case_id((graph_name, solve, backend))] \
                 == golden[fused], fused
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in golden_cases() if c[2] == "fused"], ids=case_id)
+def test_idle_supervised_solve_matches_fused_digest(case):
+    """With no fault to absorb, supervision is a zero-cost wrapper: the
+    ``supervised`` backend reproduces the fused digest bit for bit."""
+    graph_name, solve, _ = case
+    assert digest((graph_name, solve, "supervised")) \
+        == load_golden()[case_id(case)], case_id(case)
 
 
 def regenerate():

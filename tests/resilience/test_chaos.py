@@ -1,7 +1,23 @@
-"""Chaos campaign: verdicts, gates, byte-determinism, CLI exit codes."""
+"""Chaos campaign: verdicts, gates, byte-determinism, CLI exit codes.
+
+The seed-0 MobileRobot document is pinned by one SHA-256 of its bytes
+as :func:`~repro.bench.core.write_bench` writes them, stored in
+``golden/chaos_digest.json``.  Any change to a verdict, an event
+(backoff delays and complaint details included) or a fleet series moves
+it.  After an intentional change to the supervised pipeline's
+observable behaviour, regenerate the file with::
+
+    PYTHONPATH=src python tests/resilience/test_chaos.py --regenerate
+
+and say in the change why the document moved.
+"""
 
 import filecmp
+import hashlib
 import json
+import os
+import sys
+import tempfile
 
 import pytest
 
@@ -22,14 +38,47 @@ from repro.resilience.chaos import (
 )
 
 
+GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden", "chaos_digest.json")
+
+
 def quick_config(**overrides):
     overrides.setdefault("apps", ("MobileRobot",))
     return ChaosConfig(**overrides)
 
 
+def document_digest(document):
+    """SHA-256 of a BENCH document's bytes as ``write_bench`` writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chaos.json")
+        write_bench(path, document)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def chaos_result():
     return run_chaos(quick_config())
+
+
+class TestChaosGolden:
+    def test_document_matches_golden_digest(self, chaos_result):
+        _, document = chaos_result
+        with open(GOLDEN_PATH) as fh:
+            golden = json.load(fh)
+        assert document_digest(document) == golden["MobileRobot"], (
+            "the seed-0 MobileRobot chaos document moved; see the module "
+            "docstring before regenerating")
+
+    def test_cache_poison_names_the_poisoned_constant(self, chaos_result):
+        _, document = chaos_result
+        rows = [s for s in document["chaos"]["scenarios"]
+                if s["fault"] == "cache_poison"]
+        assert len(rows) == 2
+        for row in rows:
+            assert [(e["kind"], e["detail"]) for e in row["events"]] == [
+                ("cache_eviction",
+                 "static constant c9 (uid 9) contains non-finite values")]
 
 
 class TestChaosCampaign:
@@ -207,3 +256,18 @@ class TestChaosSoak:
         assert gates["silent_wrong"] == []
         # 4 apps x 2 executor tops x 7 faults
         assert len(document["chaos"]["scenarios"]) == 56
+
+
+def regenerate():
+    _, document = run_chaos(quick_config())
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump({"MobileRobot": document_digest(document)}, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: test_chaos.py --regenerate")
+    regenerate()
