@@ -19,6 +19,12 @@ fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
   namespace for a different algorithm stream) — no codegen, no ordering
   search, no QR layout computation.
 
+Only frames (:func:`~repro.compiler.codegen.compile_application`) use
+the cache.  Optimizer solves, supervised ones included, refresh one
+program in place in a solve session (:class:`~repro.optim.compiled.
+CompiledSolver`), which shares :func:`factor_token` and the binding
+specs with this module.
+
 Soundness notes:
 
 - The cache stores the **unoptimized** template.  CSE merges CONST
@@ -440,22 +446,6 @@ class CompilationCache:
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "entries": len(self._entries)}
-
-    def evict(self, key: Tuple) -> bool:
-        """Drop one entry (and its variants) by structural key.
-
-        The supervised solve pipeline calls this when a rebound template
-        fails its integrity check — a poisoned entry must be recompiled
-        cold, not reused.  Returns whether the key was present.
-        """
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            counters.incr("compiler.cache.evictions")
-        return entry is not None
-
-    def templates(self) -> Dict[Tuple, "CacheEntry"]:
-        """The live entries by structural key (for integrity tooling)."""
-        return dict(self._entries)
 
     def compile(self, graph: FactorGraph, values: Values,
                 ordering: Optional[Sequence[Key]] = None, *,

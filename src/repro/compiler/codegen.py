@@ -440,37 +440,30 @@ def _compile_graph(graph: FactorGraph, values: Values,
 
 
 def compile_application(algorithm_graphs: Dict[str, Tuple[FactorGraph, Values]],
-                        orderings: Optional[Dict[str, Sequence[Key]]] = None,
-                        use_cache: Optional[bool] = None) -> Program:
+                        orderings: Optional[Dict[str, Sequence[Key]]] = None
+                        ) -> Program:
     """Compile several algorithms into one merged application program.
 
     Register namespaces are prefixed per algorithm, so the merged program
     has no false dependencies between algorithms — this is precisely what
     enables the coarse-grained out-of-order execution of Sec. 6.3.
 
-    ``use_cache`` routes per-algorithm compiles through the structural
-    compilation cache (:mod:`repro.compiler.cache`): same-structure
-    streams (e.g. the repeated control solves of one frame) compile once
-    and rebind.  ``None`` defers to the process-wide cache toggle; the
-    rebound streams are instruction-identical to cold compiles.
+    Per-algorithm compiles go through the process-wide structural
+    compilation cache (:mod:`repro.compiler.cache`) unless it is
+    disabled: same-structure streams (e.g. the repeated control solves
+    of one frame) compile once and rebind, instruction-identical to
+    cold compiles.
     """
-    from repro.compiler.cache import cache_enabled, cached_compile_graph
+    from repro.compiler.cache import cached_compile_graph
 
-    if use_cache is None:
-        use_cache = cache_enabled()
     with trace.span("compile_application", category="compiler",
                     algorithms=len(algorithm_graphs)) as sp:
         merged = Program(algorithm="application")
         for name, (graph, values) in algorithm_graphs.items():
             order = (orderings or {}).get(name)
-            if use_cache:
-                compiled = cached_compile_graph(graph, values, order,
-                                                algorithm=name,
-                                                register_prefix=name)
-            else:
-                compiled = compile_graph(graph, values, order,
-                                         algorithm=name,
-                                         register_prefix=name)
+            compiled = cached_compile_graph(graph, values, order,
+                                            algorithm=name,
+                                            register_prefix=name)
             merged.extend(compiled.program)
         sp.set(instructions_after=len(merged.instructions))
     return merged

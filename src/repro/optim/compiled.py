@@ -7,7 +7,10 @@ compiles the graph to an instruction program (codegen + QR schedule +
 ordering search) and keeps it; every later solve on the same structure
 rewrites only that program's value-bearing constants in place and runs
 it again — the compile-once/execute-many model of the accelerator
-(Fig. 3), at host-software scale.
+(Fig. 3), at host-software scale.  Every compiled solve takes its
+program from a session: the ``compiled`` and ``fused`` backends
+directly, the ``supervised`` backend through
+:class:`~repro.resilience.supervisor.SupervisedSolver`.
 
 LM damping is expressed inside the factor-graph abstraction: each trial
 appends per-variable :class:`~repro.factors.PriorFactor` rows anchored
@@ -49,10 +52,10 @@ _VARIABLE_SPECS = (BIND_POSE_PHI, BIND_POSE_T, BIND_VECTOR)
 class CompiledSolver:
     """One solve session: compile once, then refresh and re-execute.
 
-    The first :meth:`solve` compiles the graph cold with
-    :func:`~repro.compiler.codegen.compile_graph` and binds the session
-    to that program.  A later solve *refreshes* it in place when all of
-    these hold:
+    The first :meth:`prepare` (which every :meth:`solve` starts with)
+    compiles the graph cold with :func:`~repro.compiler.codegen.
+    compile_graph` and binds the session to that program.  A later one
+    *refreshes* it in place when all of these hold:
 
     - the ordering equals the bound one;
     - the factor list has the bound length;
@@ -84,7 +87,9 @@ class CompiledSolver:
 
     Deadlines, chaos injection, retry and the fallback ladder live one
     layer up in :class:`~repro.resilience.supervisor.SupervisedSolver`,
-    which installs them as run-loop hooks on these same executors.
+    which owns a session of its own: it calls :meth:`prepare` under
+    its compile deadline and runs the session's program on these same
+    executors with its hooks installed.
     Per-instruction fault campaigns with detection and tiered recovery
     run a compiled program through :class:`~repro.resilience.executor.
     ResilientExecutor` directly.
@@ -96,6 +101,20 @@ class CompiledSolver:
         self.executor = None if executor is None else _validate_name(executor)
         # The session's compilation; None until the first solve.
         self.compiled = None
+
+    def prepare(self, graph: FactorGraph, values: Values,
+                ordering: Optional[Sequence[Key]] = None) -> bool:
+        """Refresh the bound program for ``(graph, values)`` in place, or
+        compile it cold when the structure differs or :attr:`compiled`
+        is None; True on a refresh."""
+        from repro.obs import trace
+
+        with trace.span("solve.compile", category="host.phase") as sp:
+            refreshed = self._refresh(graph, values, ordering)
+            if not refreshed:
+                self._bind(graph, values, ordering)
+            sp.set(kind="refresh" if refreshed else "compile")
+        return refreshed
 
     def solve(self, graph: FactorGraph, values: Values,
               ordering: Optional[Sequence[Key]] = None
@@ -109,12 +128,7 @@ class CompiledSolver:
             import time
 
             started = time.perf_counter()
-        with trace.span("solve.compile", category="host.phase") as sp:
-            if self._refresh(graph, values, ordering):
-                sp.set(kind="refresh")
-            else:
-                self._bind(graph, values, ordering)
-                sp.set(kind="compile")
+        self.prepare(graph, values, ordering)
         program = self.compiled.program
         executor = self.executor or fused.default_executor_name()
         with trace.span("solve.execute", category="host.phase",

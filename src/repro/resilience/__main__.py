@@ -105,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="wall-clock limit per scenario: a hung solve "
                            "fails the scenario (crash verdict) instead "
                            "of hanging the campaign")
-    camp.add_argument("--supervise", action="store_true",
-                      help="run any optimizer solve in this process "
-                           "through the supervised pipeline and default "
-                           "--timeout-s to 30 so per-trial deadline "
-                           "outcomes land in the fleet SLO ledger")
     camp.add_argument("--output", default=None, metavar="FILE",
                       help="write the BENCH-schema campaign document "
                            "(repro.obs diff compatible)")
@@ -240,14 +235,6 @@ def main(argv=None) -> int:
         FULL_TRIALS if full else QUICK_TRIALS)
     apps = tuple(a for a in args.apps.split(",") if a) if args.apps else ()
 
-    timeout_s = args.timeout_s
-    if args.supervise:
-        from repro.resilience.supervisor import enable_supervision
-
-        enable_supervision()
-        if timeout_s is None:
-            timeout_s = 30.0
-
     try:
         config = CampaignConfig(
             rates=tuple(rates),
@@ -257,7 +244,7 @@ def main(argv=None) -> int:
             spec=_spec_from_args(args),
             policy=_policy_from_args(args),
             sim_policy=args.sim_policy,
-            timeout_s=timeout_s,
+            timeout_s=args.timeout_s,
         )
         table, document = run_campaign(config)
     except ResilienceError as exc:

@@ -5,21 +5,25 @@ into individual instructions (bit flips, stuck units) and scores the
 tiered ABFT recovery, this campaign attacks the **host pipeline** that
 :mod:`repro.resilience.supervisor` protects: opcode handlers that
 raise, NaN storms flooding the register file, pathologically slow
-dispatch, poisoned compilation-cache templates, and silent numerical
-corruption.  Each scenario runs one supervised solve per (application
-localization graph × executor ladder top × fault) cell and scores the
-outcome against the fault-free golden solution:
+dispatch, poisoned session programs, and silent numerical corruption.
+Each scenario runs one supervised solve per (application localization
+graph × executor ladder top × fault) cell and scores the outcome
+against the fault-free golden solution:
 
 - **identical** — the no-fault control matched the unsupervised solve
   bit for bit (supervision must be a zero-cost wrapper when idle);
 - **recovered** — correct answer from the *top* rung (bounded retry or
-  a cache eviction absorbed the fault);
+  a cold recompile of a poisoned program absorbed the fault);
 - **degraded**  — correct answer from a *lower* rung (the ladder
   demoted past the fault);
 - **wrong** — the solve returned, but the solution deviates;
 - **crash** — the solve raised;
 - **skipped** — the scenario does not apply to this program (e.g. no
-  static template constants to poison); excluded from the gates.
+  static constants to poison); excluded from the gates.
+
+``cache_poison`` NaN-poisons the first static ``CONST`` of the session
+program after one solve; the next solve's refresh must fail the
+integrity check (a ``cache_eviction`` event) and compile cold.
 
 The campaign gates (``evaluate_gates``) encode the acceptance bar:
 all controls bit-identical, at least 95% of injected-fault scenarios
@@ -282,11 +286,12 @@ def run_scenario(app_name: str, graph, values, golden: Dict, top: str,
 
     try:
         if fault == FAULT_CACHE_POISON:
-            solver.solve(graph, values)  # cold compile seeds the cache
-            if not _poison_first_static_const(solver.cache):
+            solver.solve(graph, values)  # cold compile binds the session
+            if not _poison_first_static_const(
+                    solver.session.compiled.program):
                 outcome.verdict = VERDICT_SKIPPED
                 return outcome
-            delta = solver.solve(graph, values)  # rebind must evict
+            delta = solver.solve(graph, values)  # refresh must recompile
         elif fault == FAULT_SILENT_CORRUPTION and \
                 not _program_has_mm(solver, graph, values):
             outcome.verdict = VERDICT_SKIPPED
@@ -321,31 +326,30 @@ def run_scenario(app_name: str, graph, values, golden: Dict, top: str,
     return outcome
 
 
-def _poison_first_static_const(cache) -> bool:
-    """NaN-poison one static template constant; False if none exist."""
+def _poison_first_static_const(program) -> bool:
+    """NaN-poison one static program constant; False if none exist."""
     from repro.compiler.cache import BIND_STATIC
 
-    for entry in cache.templates().values():
-        for instr in entry.compiled.program.instructions:
-            if instr.op is not Opcode.CONST:
-                continue
-            spec = instr.meta.get("binding")
-            if spec is not None and spec[0] != BIND_STATIC:
-                continue
-            value = np.asarray(instr.meta.get("value"), dtype=float)
-            if not value.size:
-                continue
-            bad = value.copy()
-            bad.flat[0] = np.nan
-            instr.meta["value"] = bad
-            return True
+    for instr in program.instructions:
+        if instr.op is not Opcode.CONST:
+            continue
+        spec = instr.meta.get("binding")
+        if spec is not None and spec[0] != BIND_STATIC:
+            continue
+        value = np.asarray(instr.meta.get("value"), dtype=float)
+        if not value.size:
+            continue
+        bad = value.copy()
+        bad.flat[0] = np.nan
+        instr.meta["value"] = bad
+        return True
     return False
 
 
 def _program_has_mm(solver: SupervisedSolver, graph, values) -> bool:
-    compiled = solver.cache.compile(graph, values, None)
+    solver.session.prepare(graph, values)
     return any(instr.op is Opcode.MM
-               for instr in compiled.program.instructions)
+               for instr in solver.session.compiled.program.instructions)
 
 
 # ----------------------------------------------------------------------

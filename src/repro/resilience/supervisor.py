@@ -1,11 +1,12 @@
 """Supervised solve pipeline: deadlines, retry, and a fallback ladder.
 
-One misbehaving solve — a poisoned fused plan, a corrupted cache
-template, a NaN storm from a failing unit, a stalled host handler —
+One misbehaving solve — a poisoned fused plan, a corrupted session
+program, a NaN storm from a failing unit, a stalled host handler —
 must degrade gracefully instead of taking a serving process down or
-silently returning a wrong answer.  :class:`SupervisedSolver` wraps the
-compile-once/bind-many solve of :class:`~repro.optim.compiled.
-CompiledSolver` in four layers of supervision:
+silently returning a wrong answer.  :class:`SupervisedSolver` owns one
+solve session (:class:`~repro.optim.compiled.CompiledSolver`): it
+compiles the first graph, refreshes that program in place while the
+structure holds, and wraps each run in four layers of supervision:
 
 1. **Deadline enforcement** — a :class:`~repro.optim.safeguards.
    DeadlineGuard` with per-phase (compile / execute / total) wall-clock
@@ -25,9 +26,10 @@ CompiledSolver` in four layers of supervision:
    reference NumPy oracle.  A per-structure-fingerprint **circuit
    breaker** quarantines the fused plan after K consecutive failures
    and re-probes (half-open) after a cool-down counted in solves, so a
-   structurally poisoned plan stops burning retry budget.  Rebind-time
-   **cache integrity checks** verify the static template constants and
-   evict poisoned entries (recompiling cold) instead of crashing.
+   structurally poisoned plan stops burning retry budget.  After every
+   refresh an **integrity check** verifies the session program's static
+   constants; a poisoned program is dropped and compiled cold (a
+   ``cache_eviction`` event) instead of executed.
 4. **A runtime divergence sentinel** — opt-in ABFT column-sum spot
    checks (:mod:`repro.resilience.abft`) on a deterministic sample of
    MM/QR instructions after each accelerated run; a failed checksum
@@ -64,6 +66,7 @@ from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
 from repro.obs import counters, trace
+from repro.optim.compiled import CompiledSolver
 from repro.optim.safeguards import DeadlineGuard
 from repro.resilience import abft
 
@@ -255,20 +258,21 @@ class CircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# Cache-template integrity
+# Session-program integrity
 # ----------------------------------------------------------------------
 
 def verify_template_integrity(compiled) -> List[str]:
-    """Integrity complaints for a (rebound) compiled program.
+    """Integrity complaints for a (refreshed) compiled program.
 
-    A rebind re-resolves ``CONST``/``EMBED`` numerics from the live
-    ``(graph, values)`` pair — but *static* constants (shape-only
-    zeros/identity seeds, ``meta["binding"]`` absent or ``BIND_STATIC``)
-    are shared with the cached template verbatim, which makes them the
-    one place in-memory corruption survives across rebinds.  This
-    checks every static constant for non-finite values and shape drift
-    against the program's register map; a non-empty result means the
-    cache entry is poisoned and must be evicted, not executed.
+    A session refresh rewrites the value-bearing ``CONST``/``EMBED``
+    numerics from the live ``(graph, values)`` pair — but *static*
+    constants (shape-only zeros/identity seeds, ``meta["binding"]``
+    absent or ``BIND_STATIC``) keep the value of the cold compile, which
+    makes them the one place in-memory corruption survives across
+    refreshes.  This checks every static constant for non-finite values
+    and shape drift against the program's register map; a non-empty
+    result means the program is poisoned and must be compiled afresh,
+    not executed.
     """
     from repro.compiler.cache import BIND_STATIC
 
@@ -328,12 +332,14 @@ class _SolveReport:
 
 
 class SupervisedSolver:
-    """Compile-once/bind-many linear solves under full supervision.
+    """Solve-session linear solves under full supervision.
 
     A drop-in for :class:`~repro.optim.compiled.CompiledSolver` —
     ``solve(graph, values, ordering)`` returns the same update dict —
     selected by ``backend="supervised"`` on the optimizer loops or the
-    ``--supervise`` CLI flags.
+    ``--supervise`` CLI flag of ``python -m repro.eval``.  Every
+    compiled rung runs the program of :attr:`session`, the one solve
+    session this solver owns.
 
     ``sleep`` is the backoff sleeper (injectable so tests and campaigns
     pay no real wall-clock for retries); ``injectors`` maps ladder rung
@@ -342,14 +348,10 @@ class SupervisedSolver:
     """
 
     def __init__(self, config: Optional[SupervisorConfig] = None,
-                 cache=None, max_entries: int = 8,
                  sleep: Callable[[float], None] = time.sleep,
                  injectors: Optional[Dict[str, Injector]] = None):
-        from repro.compiler.cache import CompilationCache
-
         self.config = config if config is not None else SupervisorConfig()
-        self.cache = cache if cache is not None \
-            else CompilationCache(max_entries=max_entries)
+        self.session = CompiledSolver()
         self.breaker = CircuitBreaker(self.config.breaker_threshold,
                                       self.config.breaker_cooldown)
         self._sleep = sleep
@@ -456,15 +458,18 @@ class SupervisedSolver:
         from repro.compiler.cache import graph_structure
 
         config = self.config
-        structure = graph_structure(graph, values, ordering)
-        fingerprint = structure.fingerprint[:12]
+        # The one fingerprint of the solve: it keys the breaker and
+        # seeds the backoff and sentinel streams, and a reference-only
+        # ladder has no session program to take it from.
+        fingerprint = graph_structure(graph, values,
+                                      ordering).fingerprint[:12]
         report = _SolveReport(fingerprint=fingerprint)
 
         compiled = None
         needs_program = any(r != RUNG_REFERENCE for r in config.ladder)
         if needs_program:
             compiled = self._compile_checked(graph, values, ordering,
-                                             structure, guard, report)
+                                             guard, report)
 
         last_error: Optional[BaseException] = None
         for position, rung in enumerate(config.ladder):
@@ -502,30 +507,24 @@ class SupervisedSolver:
             f"{config.ladder!r}: {last_error}"
         )
 
-    def _compile_checked(self, graph, values, ordering, structure,
-                         guard, report):
-        """Compile or rebind under the compile deadline + integrity check."""
+    def _compile_checked(self, graph, values, ordering, guard, report):
+        """Refresh or compile the session's program under the compile
+        deadline; a refreshed program must pass the integrity check."""
+        session = self.session
         guard.start_phase("compile")
         try:
-            with trace.span("solve.compile", category="host.phase") as sp:
-                hits_before = self.cache.hits
-                compiled = self.cache.compile(graph, values, ordering)
-                rebound = self.cache.hits > hits_before
-                sp.set(kind="rebind" if rebound else "compile")
+            refreshed = session.prepare(graph, values, ordering)
             guard.check(partial={"stage": "compiled"})
-            if rebound:
-                complaints = verify_template_integrity(compiled)
+            if refreshed:
+                complaints = verify_template_integrity(session.compiled)
                 if complaints:
                     report.event("cache_eviction", "compile", 0,
                                  complaints[0])
                     counters.incr("resilience.supervisor.cache_evictions")
-                    self.cache.evict(structure.key)
-                    with trace.span("solve.compile", category="host.phase",
-                                    kind="recompile"):
-                        compiled = self.cache.compile(graph, values,
-                                                      ordering)
+                    session.compiled = None
+                    session.prepare(graph, values, ordering)
                     guard.check(partial={"stage": "recompiled"})
-                    remaining = verify_template_integrity(compiled)
+                    remaining = verify_template_integrity(session.compiled)
                     if remaining:
                         raise ResilienceError(
                             "cold recompile still fails integrity checks: "
@@ -533,7 +532,7 @@ class SupervisedSolver:
                         )
         finally:
             guard.end_phase()
-        return compiled
+        return session.compiled
 
     def _run_rung(self, rung, compiled, graph, values, ordering, guard,
                   report, index):
@@ -611,7 +610,6 @@ class SupervisedSolver:
             if armed:
                 guard.check(partial={"stage": "solved"})
             self._last_registers = None
-            self._last_program = None
             return delta
 
         backend = FusedExecutor if rung == RUNG_FUSED else Executor
@@ -623,7 +621,6 @@ class SupervisedSolver:
         # Kept for the sentinel: SSA registers hold every instruction's
         # destination values after the run.
         self._last_registers = registers
-        self._last_program = compiled.program
         return compiled.extract_solution(registers)
 
     # -- retry/backoff -------------------------------------------------
@@ -646,10 +643,9 @@ class SupervisedSolver:
     def _sentinel_check(self, compiled, fingerprint, index) -> str:
         """ABFT spot checks on sampled MM/QR groups; '' when clean."""
         registers = self._last_registers
-        program = self._last_program
-        if registers is None or program is None:
+        if registers is None:
             return ""
-        candidates = [instr for instr in program.instructions
+        candidates = [instr for instr in compiled.program.instructions
                       if instr.op in SENTINEL_OPCODES]
         if not candidates:
             return ""
@@ -696,7 +692,7 @@ class _RungFailed(Exception):
 
 
 # ----------------------------------------------------------------------
-# Process-wide supervision toggle (the --supervise CLI flags)
+# Process-wide supervision toggle (``python -m repro.eval --supervise``)
 # ----------------------------------------------------------------------
 
 _active_config: Optional[SupervisorConfig] = None

@@ -12,8 +12,11 @@ the agreement.
 A fifth evaluation covers solve sessions: at every iteration of a GN
 and an LM run, the refreshed session program must return the update a
 cold compile of the same ``(graph, values)`` returns on the same
-executor, bit for bit, on the interpreter and on the fused backend.  A
-refresh that misses a value site, or writes a stale one, breaks it.
+executor, bit for bit, on the interpreter and on the fused backend.
+Supervised runs take their programs from a session too; with no fault
+injected, each of their solves must equal a cold compile on the fused
+executor, the top of their ladder.  A refresh that misses a value site,
+or writes a stale one, breaks it.
 """
 
 import io
@@ -33,6 +36,7 @@ from repro.factorgraph import solve
 from repro.factorgraph.g2o import load_g2o
 from repro.optim import gauss_newton, levenberg_marquardt
 from repro.optim.compiled import CompiledSolver
+from repro.resilience.supervisor import SupervisedSolver
 
 from tests.diff.util import (
     assert_deltas_identical,
@@ -95,29 +99,38 @@ def check_oracles(graph, values, atol=1e-8):
 
 def check_session_parity(graph, values, monkeypatch):
     """Every session solve of a GN and an LM run equals a cold compile."""
-    original = CompiledSolver.solve
     checked = []
 
-    def solve(self, graph, values, ordering=None):
-        delta = original(self, graph, values, ordering)
-        cold = compile_graph(graph, values, ordering)
-        registers = executor_factory(self.executor)().run(cold.program)
-        assert_deltas_identical(
-            delta, cold.extract_solution(registers),
-            f"solve {len(checked)} on {self.executor or 'interpreter'}:")
-        checked.append(self.executor)
-        return delta
+    def checking(solve, executor_of):
+        def checked_solve(self, graph, values, ordering=None):
+            delta = solve(self, graph, values, ordering)
+            executor = executor_of(self)
+            cold = compile_graph(graph, values, ordering)
+            registers = executor_factory(executor)().run(cold.program)
+            label = f"{type(self).__name__} on {executor or 'interpreter'}"
+            assert_deltas_identical(
+                delta, cold.extract_solution(registers),
+                f"solve {len(checked)}, {label}:")
+            checked.append(label)
+            return delta
+        return checked_solve
 
-    monkeypatch.setattr(CompiledSolver, "solve", solve)
+    monkeypatch.setattr(CompiledSolver, "solve", checking(
+        CompiledSolver.solve, lambda solver: solver.executor))
+    # An idle supervised solve runs the top of its ladder.
+    monkeypatch.setattr(SupervisedSolver, "solve", checking(
+        SupervisedSolver.solve, lambda solver: solver.config.ladder[0]))
     previous = set_default_executor("interpreter")
     try:
-        for backend in ("compiled", "fused"):
+        for backend in ("compiled", "fused", "supervised"):
             gauss_newton(graph, values, backend=backend)
             levenberg_marquardt(graph, values, backend=backend)
     finally:
         set_default_executor(previous)
-    # Both executors ran, each for more than the first (cold) solve.
-    assert checked.count(None) > 2 and checked.count("fused") > 2
+    # Every solver ran, each for more than the first (cold) solve.
+    for label in ("CompiledSolver on interpreter", "CompiledSolver on fused",
+                  "SupervisedSolver on fused"):
+        assert checked.count(label) > 2, label
 
 
 @pytest.mark.parametrize("structure_seed", range(4))

@@ -8,9 +8,14 @@ constants.  These tests pin both sides of that rule:
   makes the reused solver compile afresh, and its update then equals
   a fresh solver's bit for bit;
 - *work*: a fixed-budget GN or LM run compiles and plans once and never
-  touches the compilation cache.  Calls are counted by wrapping the
-  library functions in place, the way the end-to-end benchmark's layer
-  tracer does, so the bound needs no clock and no counter in ``src/``.
+  rebinds, on the fused backend and under supervision alike; the
+  supervisor fingerprints each solve once for its circuit breaker.
+  Calls are counted by wrapping the library functions in place, the way
+  the end-to-end benchmark's layer tracer does, so the bound needs no
+  clock and no counter in ``src/``.
+
+A :class:`~repro.resilience.supervisor.SupervisedSolver` owns one such
+session, so the staleness rule holds for it too.
 """
 
 import numpy as np
@@ -34,6 +39,7 @@ from repro.geometry import Pose
 from repro.optim.compiled import CompiledSolver, damped_nonlinear_graph
 from repro.optim.gauss_newton import GaussNewtonParams, gauss_newton
 from repro.optim.levenberg import LevenbergParams, levenberg_marquardt
+from repro.resilience.supervisor import SupervisedSolver
 
 from tests.diff.util import (
     assert_deltas_identical,
@@ -194,8 +200,24 @@ _NO_TOLERANCE = dict(absolute_error_tol=0.0, relative_error_tol=0.0,
                      step_tol=0.0)
 
 
+def test_supervised_session_recompiles_on_structural_change(monkeypatch):
+    graph, values = random_problem(0, 1)
+    compiles = call_counter(monkeypatch, codegen, "compile_graph")
+    solver = SupervisedSolver()
+    solver.solve(graph, values)
+    first = graph.keys()[0]
+    grown = FactorGraph(graph.factors + [
+        PriorFactor(first, values.at(first),
+                    Isotropic(values.dim(first), 0.5))])
+    delta = solver.solve(grown, values)
+    assert compiles[0] == 2
+    assert solver.last_report["events"] == []
+    assert_deltas_identical(delta, SupervisedSolver().solve(grown, values))
+
+
 class TestWorkBound:
-    """An 8-iteration fused solve: one compile, one plan, no cache."""
+    """An 8-iteration solve: one compile, one plan, no rebind.  The
+    supervisor adds one fingerprint per solve for its breaker."""
 
     def _counters(self, monkeypatch):
         return {
@@ -207,25 +229,40 @@ class TestWorkBound:
             "error": call_counter(monkeypatch, FactorGraph, "error"),
         }
 
-    def test_gauss_newton(self, monkeypatch):
+    def _gauss_newton(self, monkeypatch, backend):
         graph, values = _seed0_graph("Quadrotor", "localization")
         counts = self._counters(monkeypatch)
         result = gauss_newton(graph, values, GaussNewtonParams(
             max_iterations=8, max_step_norm=10.0, **_NO_TOLERANCE),
-            backend="fused")
+            backend=backend)
         assert len(result.iterations) == 8
-        # The error of each accepted step carries into the next
-        # iteration: one initial evaluation plus one per step.
-        assert {k: c[0] for k, c in counts.items()} == {
-            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 0,
-            "error": 9}
+        return {k: c[0] for k, c in counts.items()}
 
-    def test_levenberg_marquardt(self, monkeypatch):
+    def _levenberg_marquardt(self, monkeypatch, backend):
         graph, values = _seed0_graph("Quadrotor", "localization")
         counts = self._counters(monkeypatch)
         result = levenberg_marquardt(graph, values, LevenbergParams(
             max_iterations=8, initial_lambda=1e3, min_lambda=1e3,
-            **_NO_TOLERANCE), backend="fused")
+            **_NO_TOLERANCE), backend=backend)
         assert len(result.iterations) == 8
-        assert {k: c[0] for k, c in counts.items() if k != "error"} == {
+        return {k: c[0] for k, c in counts.items() if k != "error"}
+
+    def test_gauss_newton(self, monkeypatch):
+        # The error of each accepted step carries into the next
+        # iteration: one initial evaluation plus one per step.
+        assert self._gauss_newton(monkeypatch, "fused") == {
+            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 0,
+            "error": 9}
+
+    def test_gauss_newton_supervised(self, monkeypatch):
+        assert self._gauss_newton(monkeypatch, "supervised") == {
+            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 8,
+            "error": 9}
+
+    def test_levenberg_marquardt(self, monkeypatch):
+        assert self._levenberg_marquardt(monkeypatch, "fused") == {
             "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 0}
+
+    def test_levenberg_marquardt_supervised(self, monkeypatch):
+        assert self._levenberg_marquardt(monkeypatch, "supervised") == {
+            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 8}

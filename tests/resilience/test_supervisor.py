@@ -32,6 +32,8 @@ from repro.resilience.supervisor import (
     verify_template_integrity,
 )
 
+from tests.diff.util import call_counter
+
 
 def pose_problem(n=5, seed=0):
     rng = np.random.default_rng(seed)
@@ -326,16 +328,18 @@ class TestSupervisedSolver:
         for key in golden:
             assert np.array_equal(delta[key], golden[key])
 
-    def test_poisoned_cache_template_is_evicted(self, problem, golden):
+    def test_poisoned_cache_template_is_evicted(self, problem, golden,
+                                                monkeypatch):
+        from repro.compiler import codegen
         from repro.compiler.cache import BIND_STATIC
         from repro.compiler.isa import Opcode
 
         graph, values = problem
+        compiles = call_counter(monkeypatch, codegen, "compile_graph")
         solver = SupervisedSolver(sleep=no_sleep)
-        solver.solve(graph, values)  # cold compile
-        (entry,) = solver.cache.templates().values()
-        poisoned = False
-        for instr in entry.compiled.program.instructions:
+        solver.solve(graph, values)  # cold compile binds the session
+        poisoned = solver.session.compiled
+        for instr in poisoned.program.instructions:
             if instr.op is Opcode.CONST:
                 spec = instr.meta.get("binding")
                 if spec is None or spec[0] == BIND_STATIC:
@@ -344,14 +348,13 @@ class TestSupervisedSolver:
                         bad = value.copy()
                         bad.flat[0] = np.nan
                         instr.meta["value"] = bad
-                        poisoned = True
                         break
-        assert poisoned
-        assert verify_template_integrity(entry.compiled)
-        delta = solver.solve(graph, values)  # rebind detects + recompiles
+        assert verify_template_integrity(poisoned)
+        delta = solver.solve(graph, values)  # refresh detects + recompiles
         kinds = [e["kind"] for e in solver.last_report["events"]]
         assert "cache_eviction" in kinds
-        assert solver.cache.stats()["misses"] == 2  # cold + recompile
+        assert compiles[0] == 2  # cold + recompile
+        assert solver.session.compiled is not poisoned
         for key in golden:
             assert np.array_equal(delta[key], golden[key])
 
