@@ -18,6 +18,14 @@ fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
   the new ``(graph, values)`` pair (optionally renaming the register
   namespace for a different algorithm stream) — no codegen, no ordering
   search, no QR layout computation.
+- Work that depends only on structure is shared through structure
+  slots (:class:`~repro.compiler.isa.StructureSlot`): every program the
+  cache returns is keyed by its cache entry, algorithm and register
+  prefix and shares the slot of the template it was rebound from, and
+  the cache keeps one slot per frame structure (the tuple of its
+  streams' keys) for :func:`~repro.compiler.codegen.
+  compile_application`.  So the fused plan and the simulator's tables
+  are built once per frame structure, not once per frame.
 
 Only frames (:func:`~repro.compiler.codegen.compile_application`) use
 the cache.  Optimizer solves, supervised ones included, refresh one
@@ -47,7 +55,7 @@ import hashlib
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +70,7 @@ from repro.compiler.exprs import (
     VecConst,
     VecVar,
 )
-from repro.compiler.isa import Instruction, Opcode, Program
+from repro.compiler.isa import Instruction, Opcode, Program, StructureSlot
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
@@ -144,6 +152,11 @@ class CacheEntry:
     # the renamed variant with an identity rename, which shares every
     # value-free instruction instead of cloning ~everything.
     variants: Dict[Tuple[str, str], "Any"] = None  # type: ignore[assignment]
+    # Stands for the structural key in stream and frame structure keys
+    # (see CompilationCache): it hashes and compares by identity, so no
+    # structural key is hashed twice, and it does not refer back to the
+    # entry, so keyed programs form no reference cycle with it.
+    identity: object = field(default_factory=object, repr=False)
 
     def rename_map(self, register_prefix: str) -> Optional[Dict[str, str]]:
         """``old register -> new register`` map, or None for identity."""
@@ -344,16 +357,6 @@ def rebind(template, graph: FactorGraph, values: Values,
         }
 
     share = rmap is None and not retag
-    if rmap is None:
-        # The register wiring (names, positions, shapes) is identical to
-        # the template's, so the rebound program can execute the same
-        # fused plan: share the template's plan slot
-        # (see repro.compiler.fused) instead of letting the fused
-        # backend re-derive one per rebind.  Renamed variants get their
-        # own slot via the memoized variant program in CacheEntry.
-        from repro.compiler.fused import plan_slot
-
-        program._fused_plan_slot = plan_slot(template.program)
     out = program.instructions
     for instr in template.program.instructions:
         spec = instr.meta.get("binding")
@@ -425,13 +428,31 @@ def rebind(template, graph: FactorGraph, values: Values,
 # ----------------------------------------------------------------------
 
 class CompilationCache:
-    """LRU cache of compiled templates keyed by structural key."""
+    """LRU cache of compiled templates keyed by structural key, plus the
+    structure slots of the frames merged from them.
+
+    Every program :meth:`compile` returns is keyed by its *stream key*
+    ``(entry identity, algorithm, register_prefix)`` and shares the
+    structure slot of the template it was rebound from.  A frame merged
+    from such streams is keyed by the tuple of their stream keys and
+    shares a slot kept here (:meth:`attach_frame_slot`), so every frame
+    with the same streams plans and tabulates once.  :meth:`clear`
+    drops both.
+    """
+
+    # Frame structures whose slots are kept (least recently used goes
+    # first).  A slot holds a fused plan and simulator tables of ~1 MB,
+    # and a frame whose structure changes with its data (Quadrotor)
+    # brings a new one every frame, so the store stays small.
+    FRAME_SLOTS = 4
 
     def __init__(self, max_entries: int = 64):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
         self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
+        self._frame_slots: "OrderedDict[Tuple, StructureSlot]" = \
+            OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -440,12 +461,27 @@ class CompilationCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._frame_slots.clear()
         self.hits = 0
         self.misses = 0
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "entries": len(self._entries)}
+
+    def attach_frame_slot(self, program: Program, key: Tuple) -> None:
+        """Key a merged frame ``program`` and attach the slot every frame
+        with the same stream keys shares."""
+        slots = self._frame_slots
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = StructureSlot(key)
+            while len(slots) > self.FRAME_SLOTS:
+                slots.popitem(last=False)
+        else:
+            slots.move_to_end(key)
+        program.structure_key = key
+        program.attach_slot(slot)
 
     def compile(self, graph: FactorGraph, values: Values,
                 ordering: Optional[Sequence[Key]] = None, *,
@@ -460,13 +496,14 @@ class CompilationCache:
             compiled = compile_graph(graph, values, ordering,
                                      algorithm=algorithm,
                                      register_prefix=register_prefix)
-            self._entries[structure.key] = CacheEntry(
-                compiled, algorithm, register_prefix
-            )
+            entry = CacheEntry(compiled, algorithm, register_prefix)
+            self._entries[structure.key] = entry
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
             self.misses += 1
             counters.incr("compiler.cache.miss")
+            compiled.program.structure_key = (entry.identity, algorithm,
+                                              register_prefix)
             return compiled
 
         self._entries.move_to_end(structure.key)
@@ -477,15 +514,16 @@ class CompilationCache:
                         algorithm=algorithm or ""):
             if (algorithm == entry.algorithm
                     and register_prefix == entry.register_prefix):
-                rebound = rebind(entry.compiled, graph, values, structure,
+                source = entry.compiled
+                rebound = rebind(source, graph, values, structure,
                                  entry.algorithm, entry.register_prefix)
             else:
                 if entry.variants is None:
                     entry.variants = {}
                 variant_key = (algorithm, register_prefix)
-                variant = entry.variants.get(variant_key)
-                if variant is None:
-                    rebound = rebind(
+                source = entry.variants.get(variant_key)
+                if source is None:
+                    rebound = source = rebind(
                         entry.compiled, graph, values, structure,
                         entry.algorithm, entry.register_prefix,
                         algorithm, register_prefix,
@@ -493,10 +531,17 @@ class CompilationCache:
                     )
                     entry.variants[variant_key] = rebound
                 else:
-                    rebound = rebind(variant, graph, values, structure,
+                    rebound = rebind(source, graph, values, structure,
                                      algorithm, register_prefix)
         counters.incr("compiler.cache.rebind_ns",
                       time.perf_counter_ns() - started)
+        program = rebound.program
+        program.structure_key = (entry.identity, algorithm,
+                                 register_prefix)
+        if rebound is not source:
+            # Same wiring as the template it was rebound from: same
+            # fused plan, same simulator tables.
+            program.attach_slot(source.program.structure_slot())
         return rebound
 
 
@@ -529,6 +574,11 @@ def clear_default_cache() -> None:
     _default_cache.clear()
 
 
+def active_cache() -> Optional[CompilationCache]:
+    """The process-wide default cache, or None while it is disabled."""
+    return _default_cache if _cache_enabled else None
+
+
 def cached_compile_graph(graph: FactorGraph, values: Values,
                          ordering: Optional[Sequence[Key]] = None, *,
                          algorithm: str = "", register_prefix: str = "",
@@ -540,9 +590,7 @@ def cached_compile_graph(graph: FactorGraph, values: Values,
     ``REPRO_COMPILE_CACHE`` environment variable); when disabled this
     falls through to a plain cold compile.
     """
-    active = cache
-    if active is None and _cache_enabled:
-        active = _default_cache
+    active = cache if cache is not None else active_cache()
     if active is None:
         from repro.compiler.codegen import compile_graph
 

@@ -452,18 +452,28 @@ def compile_application(algorithm_graphs: Dict[str, Tuple[FactorGraph, Values]],
     compilation cache (:mod:`repro.compiler.cache`) unless it is
     disabled: same-structure streams (e.g. the repeated control solves
     of one frame) compile once and rebind, instruction-identical to
-    cold compiles.
+    cold compiles.  The merged program is keyed by its streams' keys
+    and shares one structure slot with every frame built from the same
+    streams, so the fused plan and the simulator's tables are built
+    once per frame structure.  With the cache disabled each frame keeps
+    a private slot.
     """
-    from repro.compiler.cache import cached_compile_graph
+    from repro.compiler.cache import active_cache, cached_compile_graph
 
+    cache = active_cache()
     with trace.span("compile_application", category="compiler",
                     algorithms=len(algorithm_graphs)) as sp:
         merged = Program(algorithm="application")
+        stream_keys = []
         for name, (graph, values) in algorithm_graphs.items():
             order = (orderings or {}).get(name)
             compiled = cached_compile_graph(graph, values, order,
                                             algorithm=name,
-                                            register_prefix=name)
+                                            register_prefix=name,
+                                            cache=cache)
             merged.extend(compiled.program)
+            stream_keys.append(compiled.program.structure_key)
+        if cache is not None:
+            cache.attach_frame_slot(merged, tuple(stream_keys))
         sp.set(instructions_after=len(merged.instructions))
     return merged

@@ -31,9 +31,11 @@ that in:
   ``dict.update`` before any level runs.  New numerics change only
   those values (and the EMBED factor references), never the plan: a
   solve session (:class:`~repro.optim.compiled.CompiledSolver`)
-  rewrites them in place on its own program, and a compilation-cache
-  rebind (:func:`~repro.compiler.cache.rebind`) threads the plan slot
-  from the cached template onto every rebound program.
+  rewrites them in place on its own program, and programs of one
+  structure share one plan through their structure slot
+  (:meth:`~repro.compiler.isa.Program.structure_slot`): every frame
+  with the same streams (:func:`~repro.compiler.codegen.
+  compile_application`) and every rebind of one cached stream.
 - Bit-identity with the interpreter is engineered, not hoped for: the
   batched elementwise kernels perform the same per-element IEEE
   operations in the same order; stacked ``np.matmul`` runs the same
@@ -94,7 +96,6 @@ __all__ = [
     "default_executor_name",
     "executor_factory",
     "plan_for",
-    "plan_slot",
     "set_default_executor",
 ]
 
@@ -693,10 +694,12 @@ class FusedPlan:
         The (dst, value) pairs — and the stacked operand blocks for
         gathers whose members are all constants (``const_ports``) — are
         memoized on the program object together with the plan that
-        built them: a rebind produces a fresh ``Program`` and an in-place
-        ``Program.extend`` a fresh plan (either invalidates the memo),
-        while repeat executions of the same program (bench repeats)
-        reuse them at zero marginal cost.  Metas are immutable while the
+        built them: a rebind or a new frame produces a fresh ``Program``
+        (a fresh memo, even where the plan is shared), and an in-place
+        ``Program.extend`` detaches the program from its structure slot
+        and so gets a fresh plan (either invalidates the memo), while
+        repeat executions of the same program (bench repeats) reuse
+        them at zero marginal cost.  Metas are immutable while the
         program runs; a solve session that rewrites its program's value
         sites between runs drops ``program._fused_const_memo`` so the
         next preload re-reads them.
@@ -791,10 +794,10 @@ class _PlanBuilder:
 def build_plan(program: Program, label: str = "") -> FusedPlan:
     """Lower one program into a :class:`FusedPlan` (structure only).
 
-    Safe to reuse across compilation-cache rebinds of the same template
-    and across solve-session refreshes: the plan references instructions
-    by position and registers by name, both invariant under new
-    numerics.
+    Safe to reuse across every program of one structure slot (frames
+    with the same streams, rebinds of one cached template) and across
+    solve-session refreshes: the plan references instructions by
+    position and registers by name, both invariant under new numerics.
     """
     levels = program.levels()
     const_sites: List[Tuple[int, str]] = []
@@ -865,32 +868,26 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
 
 
 # ----------------------------------------------------------------------
-# Plan caching: one plan per template structure
+# Plan caching: one plan per structure
 # ----------------------------------------------------------------------
 
-def plan_slot(program: Program) -> Dict[str, Any]:
-    """The program's shared plan slot (created on demand).
-
-    :func:`repro.compiler.cache.rebind` propagates the template's slot
-    onto every rebound program whose wiring is identical (same register
-    namespace), so the first fused execution of any rebind populates
-    the plan for all of them — a rebind rewrites numeric slabs and
-    never re-plans.
-    """
-    slot = getattr(program, "_fused_plan_slot", None)
-    if slot is None:
-        slot = {}
-        program._fused_plan_slot = slot
-    return slot
-
-
 def plan_for(program: Program) -> FusedPlan:
-    """The cached plan for this program's structure, built on first use."""
-    slot = plan_slot(program)
-    plan = slot.get("plan")
+    """The plan in the program's structure slot, built on first use.
+
+    Every frame with the same streams shares one slot
+    (:func:`~repro.compiler.codegen.compile_application`), and so does
+    every rebind of one cached stream
+    (:meth:`~repro.compiler.cache.CompilationCache.compile`): the first
+    fused run of any of them builds the plan for all.  A program
+    nobody keyed plans into a private slot.  Raises
+    :class:`~repro.errors.CompileError` when the program's structure
+    key differs from its slot's (:meth:`Program.structure_slot`).
+    """
+    slot = program.structure_slot()
+    plan = slot.plan
     if plan is None or plan.instructions != len(program.instructions):
         plan = build_plan(program)
-        slot["plan"] = plan
+        slot.plan = plan
     else:
         counters.incr("fused.plan.hit")
     return plan

@@ -159,6 +159,27 @@ class Instruction:
         return f"#{self.uid} {self.op.value} {srcs} -> {dsts}"
 
 
+class StructureSlot:
+    """What every program of one structure shares: work that depends on
+    the instruction stream's shape, never on its numerics.
+
+    ``plan`` is the fused plan (:func:`repro.compiler.fused.plan_for`)
+    and ``sim`` the simulator's per-uid tables
+    (:meth:`repro.sim.engine.Simulator.run`); each owner fills its
+    field on first use.  ``key`` is the structure key the slot was
+    made for: :meth:`Program.structure_slot` refuses a program whose
+    own key differs, so a mis-shared slot fails loudly instead of
+    running another structure's plan.
+    """
+
+    __slots__ = ("key", "plan", "sim")
+
+    def __init__(self, key: Optional[Tuple] = None):
+        self.key = key
+        self.plan: Any = None
+        self.sim: Any = None
+
+
 class Program:
     """An ordered list of instructions plus register shape bookkeeping."""
 
@@ -172,6 +193,38 @@ class Program:
         # the currently open Program.provenance(...) scopes.
         self._prov_frames: List[Dict[str, Any]] = []
         self._prov_cache: Optional[Provenance] = None
+        # The key of this program's structure, set by whoever can name
+        # it (the compilation cache for its streams, compile_application
+        # for frames); None for programs nobody keyed.
+        self.structure_key: Optional[Tuple] = None
+        self._slot: Optional[StructureSlot] = None
+
+    # ------------------------------------------------------------------
+    # Structure slot
+    # ------------------------------------------------------------------
+    def structure_slot(self) -> StructureSlot:
+        """The slot this program shares with its same-structure peers.
+
+        A program nobody attached to a shared slot gets a private one on
+        first use.  Raises :class:`CompileError` when the attached
+        slot was made for another structure key.
+        """
+        slot = self._slot
+        if slot is None:
+            slot = self._slot = StructureSlot(self.structure_key)
+        elif slot.key is not self.structure_key \
+                and slot.key != self.structure_key:
+            raise CompileError(
+                f"structure slot mismatch: program {self.algorithm!r} "
+                f"({len(self.instructions)} instructions) is attached to "
+                f"a slot made for another structure"
+            )
+        return slot
+
+    def attach_slot(self, slot: StructureSlot) -> None:
+        """Share ``slot``; callers key the program with
+        :attr:`structure_key` equal to ``slot.key``."""
+        self._slot = slot
 
     # ------------------------------------------------------------------
     # Emission
@@ -348,12 +401,17 @@ class Program:
         ``uid`` and ``algorithm`` already final the instruction object
         itself is shared.  Passes that rewrite instructions always build
         fresh clones, never mutate in place.
+
+        The extended program has a new structure, so it leaves its
+        structure slot and loses its key.
         """
         overlap = set(self.register_shapes) & set(other.register_shapes)
         if overlap:
             raise CompileError(
                 f"register collision while merging programs: {sorted(overlap)[:5]}"
             )
+        self.structure_key = None
+        self._slot = None
         base = self._counter
         append = self.instructions.append
         for instr in other.instructions:

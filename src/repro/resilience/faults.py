@@ -20,7 +20,8 @@ overhead consistent with its recovery verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, MutableSequence,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -96,11 +97,12 @@ class FaultPlan:
         return [e for e in self.events.values() if e.kind in TIMING_KINDS]
 
     # ------------------------------------------------------------------
-    def apply_timing(self, program: Program, latencies: Dict[int, int],
-                     energies: Dict[int, float]) -> Dict[str, float]:
+    def apply_timing(self, program: Program, latencies: MutableSequence,
+                     energies: MutableSequence) -> Dict[str, float]:
         """Fold the plan's timing effects into per-instruction costs.
 
-        Mutates ``latencies``/``energies`` in place and returns the
+        ``latencies``/``energies`` are indexed by uid (lists, or maps
+        holding every faulted uid).  Mutates them in place and returns the
         fault-overhead counters for :class:`SimulationResult`:
 
         - value-fault retries re-occupy the unit, so latency and
@@ -120,20 +122,20 @@ class FaultPlan:
         for uid, event in self.events.items():
             if uid >= len(program.instructions):
                 continue
-            base = latencies.get(uid, 0)
+            base = latencies[uid]
             attempts = self.attempts.get(uid, 1)
             if attempts > 1:
                 extra = base * (attempts - 1)
                 latencies[uid] = base + extra
-                energies[uid] = energies.get(uid, 0.0) * attempts
+                energies[uid] = energies[uid] * attempts
                 counts["retry_cycles"] += extra
             if event.kind == FAULT_STALL:
-                latencies[uid] = latencies.get(uid, 0) + event.stall_cycles
+                latencies[uid] = latencies[uid] + event.stall_cycles
                 counts["stall_cycles"] += event.stall_cycles
             elif event.kind == FAULT_DROP:
                 extra = base + DROP_WATCHDOG_CYCLES
-                latencies[uid] = latencies.get(uid, 0) + extra
-                energies[uid] = energies.get(uid, 0.0) * 2.0
+                latencies[uid] = latencies[uid] + extra
+                energies[uid] = energies[uid] * 2.0
                 counts["drop_cycles"] += extra
         return {k: v for k, v in counts.items() if v}
 

@@ -1,6 +1,9 @@
 """Provenance-attributed profiling over simulated schedules.
 
-Two analyses run after every :meth:`repro.sim.engine.Simulator.run`:
+Two analyses of a :meth:`repro.sim.engine.Simulator.run`, each
+computed the first time its :class:`~repro.sim.stats.SimulationResult`
+attribute is read (never, for a caller that reads only cycles and
+energy):
 
 - :func:`compute_attribution` folds each instruction's busy cycles and
   dynamic energy into buckets keyed by its
@@ -23,7 +26,7 @@ simulation telemetry, metrics JSON, and ``python -m repro.obs profile``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.isa import Opcode, Program, UNIT_NONE
 
@@ -177,11 +180,11 @@ def _factor_keys(instr) -> List[Tuple[str, str]]:
 
 
 def compute_attribution(program: Program,
-                        latencies: Dict[int, int],
-                        energies_nj: Dict[int, float]) -> Attribution:
+                        latencies: Sequence[int],
+                        energies_nj: Sequence[float]) -> Attribution:
     """Aggregate per-instruction cost by provenance.
 
-    ``latencies``/``energies_nj`` map uid to busy cycles and dynamic
+    ``latencies``/``energies_nj`` hold each uid's busy cycles and dynamic
     energy as the simulator's unit templates model them; UNIT_NONE
     instructions (preloaded constants) cost nothing and are skipped.
     """
@@ -189,8 +192,8 @@ def compute_attribution(program: Program,
     for instr in program.instructions:
         if instr.unit == UNIT_NONE:
             continue
-        cycles = float(latencies.get(instr.uid, 0))
-        energy = float(energies_nj.get(instr.uid, 0.0))
+        cycles = float(latencies[instr.uid])
+        energy = float(energies_nj[instr.uid])
         attr.total_busy_cycles += cycles
         attr.total_energy_nj += energy
         prov = instr.provenance
@@ -224,10 +227,10 @@ def compute_attribution(program: Program,
 
 
 def compute_critical_path(program: Program,
-                          latencies: Dict[int, int],
+                          latencies: Sequence[int],
                           start: Dict[int, float],
                           finish: Dict[int, float],
-                          deps: Optional[Dict[int, List[int]]] = None
+                          deps: Optional[Sequence[Sequence[int]]] = None
                           ) -> CriticalPathAnalysis:
     """Longest dependency chain and per-instruction schedule slack.
 
@@ -235,8 +238,9 @@ def compute_critical_path(program: Program,
     floor any schedule can reach.  Slack compares the recorded schedule
     against the latest times that would still meet the makespan under
     the same dependencies — zero-slack instructions gate the finish.
-    ``deps`` is ``program.dependencies()``, for callers that already
-    built it.
+    ``latencies`` and ``deps`` (each uid's producers, as in
+    ``program.dependencies()``, for callers that already built it) are
+    indexed by uid.
     """
     if deps is None:
         deps = program.dependencies()
@@ -246,7 +250,7 @@ def compute_critical_path(program: Program,
     dist: Dict[int, float] = {}
     best_pred: Dict[int, Optional[int]] = {}
     for instr in instructions:
-        lat = float(latencies.get(instr.uid, 0))
+        lat = float(latencies[instr.uid])
         pred_dist = 0.0
         pred = None
         for d in deps[instr.uid]:
@@ -277,7 +281,7 @@ def compute_critical_path(program: Program,
             uid=cid,
             op=instr.op.value,
             unit=instr.unit,
-            cycles=float(latencies.get(cid, 0)),
+            cycles=float(latencies[cid]),
             stage=prov.stage if prov else "",
             factors=tuple(f"{k}:{t}" for k, t in _factor_keys(instr)),
             variable=(prov.variables[0]
@@ -297,7 +301,7 @@ def compute_critical_path(program: Program,
             cuid = instr.uid
             if cuid not in start:
                 continue
-            lat = float(latencies.get(cuid, 0))
+            lat = float(latencies[cuid])
             latest_finish = makespan
             for c in consumers.get(cuid, ()):
                 if c in latest_start:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compiler.isa import Opcode, Program
 from repro.hw.accelerator import AcceleratorConfig
@@ -291,15 +291,16 @@ class CycleAccounting:
 
 
 def compute_cycle_accounting(program: Program, tracker: WaitTracker,
-                             latencies: Mapping[int, float],
+                             latencies: Sequence[float],
                              start: Mapping[int, float],
                              finish: Mapping[int, float],
                              result) -> CycleAccounting:
     """Fold a run's :class:`WaitTracker` into a :class:`CycleAccounting`.
 
     ``result`` is the run's :class:`~repro.sim.stats.SimulationResult`
-    (for totals, busy cycles, and spill volume); the accounting is
-    attached back onto it by the engine.
+    (for totals, busy cycles, and spill volume); the engine computes
+    the accounting from it when ``result.cycle_accounting`` is first
+    read.  ``latencies`` is indexed by uid.
     """
     acc = CycleAccounting(policy=result.policy,
                           total_cycles=result.total_cycles)
@@ -370,7 +371,7 @@ def compute_cycle_accounting(program: Program, tracker: WaitTracker,
         prov = instr.provenance
         step = ChainStep(
             uid=uid, op=instr.op.value, unit=instr.unit,
-            cycles=float(latencies.get(uid, 0)), wait=wait,
+            cycles=float(latencies[uid]), wait=wait,
             causes=dict(tracker.wait_causes.get(uid, {})),
             gated_by=tracker.gated_by.get(uid),
             stage=(prov.stage if prov is not None else "") or "",

@@ -46,6 +46,64 @@ def _unit_classes(program: Program) -> List[str]:
     return [UNIT_OF_OPCODE[instr.op] for instr in program.instructions]
 
 
+class _StructureTables:
+    """A program structure's per-uid tables, kept in its structure slot.
+
+    Unit classes and the dependency map follow from the instruction
+    stream alone; latencies and energies also from the unit templates,
+    so they are kept for the last templates they were computed with.
+    Instance counts do not enter, so the hardware optimizer's greedy
+    search, which only adds instances, reuses them across configs.
+    Every list is indexed by uid and read-only once built.
+    """
+
+    __slots__ = ("instructions", "units", "deps", "templates",
+                 "latencies", "energies")
+
+    def __init__(self, program: Program):
+        self.instructions = len(program.instructions)
+        self.units = _unit_classes(program)
+        self.deps = list(program.dependencies().values())
+        self.templates: Optional[Dict[str, object]] = None
+        self.latencies: List[int] = []
+        self.energies: List[float] = []
+
+
+class _RunState:
+    """What one run's analyses are computed from, on first read.
+
+    :class:`~repro.sim.stats.SimulationResult` calls each method at most
+    once, when its attribute is first read; the lists come from the
+    structure slot and are never written.
+    """
+
+    __slots__ = ("program", "latencies", "energies", "start", "finish",
+                 "deps", "tracker")
+
+    def __init__(self, program, latencies, energies, start, finish, deps,
+                 tracker):
+        self.program = program
+        self.latencies = latencies
+        self.energies = energies
+        self.start = start
+        self.finish = finish
+        self.deps = deps
+        self.tracker = tracker
+
+    def attribution(self, result: SimulationResult):
+        return compute_attribution(self.program, self.latencies,
+                                   self.energies)
+
+    def critical_path(self, result: SimulationResult):
+        return compute_critical_path(self.program, self.latencies,
+                                     self.start, self.finish, self.deps)
+
+    def cycle_accounting(self, result: SimulationResult):
+        return compute_cycle_accounting(self.program, self.tracker,
+                                        self.latencies, self.start,
+                                        self.finish, result)
+
+
 class Simulator:
     """Simulates programs on a fixed accelerator configuration.
 
@@ -90,15 +148,35 @@ class Simulator:
                             instructions=len(program.instructions)):
             return self._run(program, policy, record_schedule, fault_plan)
 
+    def _tables(self, program: Program) -> _StructureTables:
+        """The program's structure tables, costed for this config's
+        unit templates (built on first use per structure slot)."""
+        slot = program.structure_slot()
+        tables = slot.sim
+        if tables is None or \
+                tables.instructions != len(program.instructions):
+            tables = slot.sim = _StructureTables(program)
+        templates = self.config.templates
+        if tables.templates != templates:
+            tables.latencies = self._latencies(program, tables.units)
+            tables.energies = self._energies(program, tables.units)
+            tables.templates = dict(templates)
+        return tables
+
     def _run(self, program: Program, policy: str,
              record_schedule: bool, fault_plan) -> SimulationResult:
         instructions = program.instructions
-        units = _unit_classes(program)
-        deps = program.dependencies()
-        latencies = self._latencies(program, units)
+        tables = self._tables(program)
+        units = tables.units
+        deps = tables.deps
+        latencies = tables.latencies
+        energies = tables.energies
         fault_counts: Dict[str, float] = {}
-        energies = self._energies(program, units)
         if fault_plan is not None:
+            # apply_timing writes into the costs it receives; the
+            # slot's tables are shared, so it gets copies.
+            latencies = list(latencies)
+            energies = list(energies)
             fault_counts = fault_plan.apply_timing(program, latencies,
                                                    energies)
 
@@ -314,12 +392,8 @@ class Simulator:
             result.fault_counts = fault_counts
             for kind, value in fault_counts.items():
                 obs.counters.incr(f"resilience.sim.{kind}", value)
-        result.attribution = compute_attribution(program, latencies,
-                                                 energies)
-        result.critical_path = compute_critical_path(program, latencies,
-                                                     start, finish, deps)
-        result.cycle_accounting = compute_cycle_accounting(
-            program, tracker, latencies, start, finish, result)
+        result.run_state = _RunState(program, latencies, energies, start,
+                                     finish, deps, tracker)
         if record_schedule or obs.is_enabled():
             result.schedule = {uid: (start[uid], finish[uid])
                                for uid in start}
@@ -382,7 +456,7 @@ class Simulator:
 
     def _check_schedule_invariants(self, program: Program,
                                    result: SimulationResult,
-                                   latencies: Dict[int, int]) -> None:
+                                   latencies: List[int]) -> None:
         """Debug-mode consistency checks over a recorded schedule.
 
         Verifies that the ``unit_free`` heap bookkeeping of the issue
@@ -471,50 +545,52 @@ class Simulator:
                 )
 
     def _latencies(self, program: Program,
-                   units: Optional[List[str]] = None) -> Dict[int, int]:
+                   units: Optional[List[str]] = None) -> List[int]:
+        """Per-instruction latency in cycles, indexed by uid."""
         if units is None:
             units = _unit_classes(program)
-        latencies: Dict[int, int] = {}
+        latencies: List[int] = []
         shapes = program.register_shapes
-        for instr in program.instructions:
-            unit = units[instr.uid]
+        templates = self.config.templates
+        for instr, unit in zip(program.instructions, units):
             if unit == UNIT_NONE:
-                latencies[instr.uid] = 0
+                latencies.append(0)
                 continue
-            template = self.config.templates.get(unit)
+            template = templates.get(unit)
             if template is None:
                 raise SimulationError(
                     f"no latency template for unit class {unit!r} "
                     f"(needed by {instr.describe()})"
                 )
-            latencies[instr.uid] = max(1, int(template.latency(instr, shapes)))
+            latencies.append(max(1, int(template.latency(instr, shapes))))
         return latencies
 
     def _energies(self, program: Program,
-                  units: Optional[List[str]] = None) -> Dict[int, float]:
-        """Per-instruction dynamic energy in nJ (UNIT_NONE costs zero)."""
+                  units: Optional[List[str]] = None) -> List[float]:
+        """Per-instruction dynamic energy in nJ, indexed by uid
+        (UNIT_NONE costs zero)."""
         if units is None:
             units = _unit_classes(program)
-        energies: Dict[int, float] = {}
+        energies: List[float] = []
         shapes = program.register_shapes
-        for instr in program.instructions:
-            unit = units[instr.uid]
+        templates = self.config.templates
+        for instr, unit in zip(program.instructions, units):
             if unit == UNIT_NONE:
-                energies[instr.uid] = 0.0
+                energies.append(0.0)
                 continue
-            template = self.config.templates.get(unit)
+            template = templates.get(unit)
             if template is None:
                 raise SimulationError(
                     f"no energy template for unit class {unit!r} "
                     f"(needed by {instr.describe()})"
                 )
-            energies[instr.uid] = float(template.energy(instr, shapes))
+            energies.append(float(template.energy(instr, shapes)))
         return energies
 
     # ------------------------------------------------------------------
     def _collect(self, program: Program, policy: str, total_cycles: int,
                  start: Dict[int, float], finish: Dict[int, float],
-                 latencies: Dict[int, int], energies: Dict[int, float],
+                 latencies: List[int], energies: List[float],
                  busy_cycles: Dict[str, float],
                  units: List[str]) -> SimulationResult:
         dynamic_nj = 0.0

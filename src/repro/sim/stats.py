@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,18 +51,38 @@ class SimulationResult:
     # Optional per-instruction schedule: uid -> (start, finish) cycles,
     # recorded when Simulator.run(record_schedule=True).
     schedule: Dict[int, tuple] = field(default_factory=dict)
-    # Provenance-attributed cycle/energy breakdown and critical-path
-    # analysis, always computed by Simulator.run.
-    attribution: Optional["Attribution"] = None
-    critical_path: Optional["CriticalPathAnalysis"] = None
-    # Top-down wait attribution: the schedule-gating chain, wait-by-cause
-    # tables, unit contention timelines, and roofline summary
-    # (repro.sim.bottleneck), always computed by Simulator.run.
-    cycle_accounting: Optional["CycleAccounting"] = None
     # Supervised-solve degradation summary (retries, demotions, breaker
     # state) when the workload ran under repro.resilience.supervisor;
     # None for unsupervised runs.
     degradation_report: Optional[Dict[str, Any]] = None
+    # The state Simulator.run leaves for the analyses below (program,
+    # costs, start/finish times, dependency map, wait tracker); None for
+    # a hand-built result, whose analyses are then None too.
+    run_state: Any = field(default=None, repr=False, compare=False)
+
+    # The three analyses are computed on first read, once each, from
+    # run_state: a caller that reads only cycles and energy never pays
+    # for them.
+    @cached_property
+    def attribution(self) -> Optional["Attribution"]:
+        """Provenance-attributed busy cycles and dynamic energy
+        (:mod:`repro.sim.attribution`)."""
+        state = self.run_state
+        return None if state is None else state.attribution(self)
+
+    @cached_property
+    def critical_path(self) -> Optional["CriticalPathAnalysis"]:
+        """Longest def-use chain and per-instruction schedule slack."""
+        state = self.run_state
+        return None if state is None else state.critical_path(self)
+
+    @cached_property
+    def cycle_accounting(self) -> Optional["CycleAccounting"]:
+        """Top-down wait attribution: the schedule-gating chain,
+        wait-by-cause tables, unit contention timelines and roofline
+        summary (:mod:`repro.sim.bottleneck`)."""
+        state = self.run_state
+        return None if state is None else state.cycle_accounting(self)
 
     @property
     def time_ms(self) -> float:
