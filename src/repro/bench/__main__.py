@@ -16,7 +16,6 @@ import sys
 import time
 
 from repro.bench.core import run_bench, summarize, write_bench
-from repro.compiler.cache import set_cache_enabled
 
 
 def main(argv=None) -> int:
@@ -29,13 +28,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", metavar="FILE",
                         help="output path (default BENCH_<mode>.json)")
-    parser.add_argument("--no-compile-cache", action="store_true",
-                        help="disable the structural compilation cache "
-                             "(cold compile every frame)")
     args = parser.parse_args(argv)
 
-    if args.no_compile_cache:
-        set_cache_enabled(False)
     started = time.perf_counter()
     document = run_bench(quick=args.quick, seed=args.seed)
     elapsed = time.perf_counter() - started

@@ -15,14 +15,10 @@ from repro.compiler.codegen import (
 )
 from repro.compiler.cache import (
     CompilationCache,
-    cache_enabled,
-    cached_compile_graph,
     clear_default_cache,
     default_cache,
     graph_structure,
     rebind,
-    set_cache_enabled,
-    structural_fingerprint,
 )
 from repro.compiler.executor import Executor
 from repro.compiler.fused import (
@@ -111,7 +107,6 @@ __all__ = [
     "common_subexpression_elimination", "dead_code_elimination",
     "optimize_program",
     "CompiledGraph", "RowBlock",
-    "CompilationCache", "cached_compile_graph", "structural_fingerprint",
-    "graph_structure", "rebind", "default_cache", "clear_default_cache",
-    "cache_enabled", "set_cache_enabled",
+    "CompilationCache", "graph_structure", "rebind", "default_cache",
+    "clear_default_cache",
 ]

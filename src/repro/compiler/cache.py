@@ -4,9 +4,9 @@ The ORIANNA accelerator compiles a factor graph's MO-DFGs once and then
 re-executes the same instruction schedule every solver iteration with
 fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
 
-- :func:`structural_fingerprint` hashes everything that determines the
-  *shape* of the compiled program — factor types, expression-DAG
-  topology, variable dimensions, connectivity, noise-model classes and
+- :func:`graph_structure` keys everything that determines the *shape*
+  of the compiled program — factor types, expression-DAG topology,
+  variable dimensions, connectivity, noise-model classes and
   dimensions, the elimination ordering — and deliberately excludes the
   numeric values (pose estimates, measurements, noise sigmas).
 - Every value-bearing instruction (``CONST``/``EMBED``) carries a
@@ -15,17 +15,22 @@ fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
   a factor's whitening matrix, a constant node of the factor's
   expression DAG, or the factor object itself for host-side EMBED.
 - On a cache hit, :func:`rebind` re-evaluates only those specs against
-  the new ``(graph, values)`` pair (optionally renaming the register
-  namespace for a different algorithm stream) — no codegen, no ordering
-  search, no QR layout computation.
+  the new ``(graph, values)`` pair — no codegen, no ordering search, no
+  QR layout computation.
+- A cached structure keeps one template per stream *name* (the label
+  that is both a stream's algorithm tag and its register prefix, e.g.
+  ``control#3``).  The structure's first name compiles cold; a new name
+  is renamed from that template once and stored; every other hit is an
+  identity rebind from the name's own template, which shares every
+  value-free instruction with it.
 - Work that depends only on structure is shared through structure
   slots (:class:`~repro.compiler.isa.StructureSlot`): every program the
-  cache returns is keyed by its cache entry, algorithm and register
-  prefix and shares the slot of the template it was rebound from, and
-  the cache keeps one slot per frame structure (the tuple of its
-  streams' keys) for :func:`~repro.compiler.codegen.
-  compile_application`.  So the fused plan and the simulator's tables
-  are built once per frame structure, not once per frame.
+  cache returns is keyed by its stream key ``(entry identity, name)``
+  and shares the slot of the template it was rebound from, and the
+  cache keeps one slot per frame structure (the tuple of its streams'
+  keys) for :func:`~repro.compiler.codegen.compile_application`.  So
+  the fused plan and the simulator's tables are built once per frame
+  structure, not once per frame.
 
 Only frames (:func:`~repro.compiler.codegen.compile_application`) use
 the cache.  Optimizer solves, supervised ones included, refresh one
@@ -39,21 +44,19 @@ Soundness notes:
   loads by value, so an optimized program is only valid for the values
   it was optimized against; callers re-run :meth:`CompiledGraph.
   optimized` after rebinding when they want the pass pipeline.
-- Rebinding renames registers by swapping the compile-time prefix, so
-  one template serves every same-structure stream of a frame (e.g.
-  ``control#0`` .. ``control#4``); the rebound stream is
-  instruction-identical to what a cold compile would emit.
-- When the caller passes ``ordering=None`` the fingerprint uses a
-  ``default`` sentinel and a hit reuses the template's stored ordering:
-  min-degree ordering depends only on sparsity structure, so it is
-  identical — and the (expensive) linearize it requires is skipped.
+- Renaming swaps the compile-time register prefix, so the renamed
+  stream is instruction-identical to what a cold compile under the new
+  name would emit.
+- The cache compiles with the default (min-degree) ordering and keys it
+  with a ``default`` sentinel, so a hit reuses the template's stored
+  ordering: min-degree ordering depends only on sparsity structure, so
+  it is identical — and the (expensive) linearize it requires is
+  skipped.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -138,40 +141,16 @@ def _build_rename_map(register_shapes: Dict[str, Any], old_prefix: str,
 
 @dataclass
 class CacheEntry:
-    """One cached compilation: the template plus its compile-time tags."""
+    """One cached structure: its compiled template per stream name."""
 
-    compiled: "Any"             # CompiledGraph (import cycle with codegen)
-    algorithm: str
-    register_prefix: str
-    # Memoized register rename maps per target prefix: templates are
-    # rebound into the same few algorithm streams over and over (e.g.
-    # control#0 .. control#4 every frame).
-    rename_maps: Dict[str, Dict[str, str]] = None  # type: ignore[assignment]
-    # Memoized renamed templates per (algorithm, prefix): once a stream
-    # has been rebound into a new namespace, later frames rebind from
-    # the renamed variant with an identity rename, which shares every
-    # value-free instruction instead of cloning ~everything.
-    variants: Dict[Tuple[str, str], "Any"] = None  # type: ignore[assignment]
+    # name -> CompiledGraph (import cycle with codegen).  The first name
+    # was compiled cold; every later one was renamed from it once.
+    templates: Dict[str, Any]
     # Stands for the structural key in stream and frame structure keys
     # (see CompilationCache): it hashes and compares by identity, so no
     # structural key is hashed twice, and it does not refer back to the
     # entry, so keyed programs form no reference cycle with it.
     identity: object = field(default_factory=object, repr=False)
-
-    def rename_map(self, register_prefix: str) -> Optional[Dict[str, str]]:
-        """``old register -> new register`` map, or None for identity."""
-        if register_prefix == self.register_prefix:
-            return None
-        if self.rename_maps is None:
-            self.rename_maps = {}
-        rmap = self.rename_maps.get(register_prefix)
-        if rmap is None:
-            rmap = _build_rename_map(
-                self.compiled.program.register_shapes,
-                self.register_prefix, register_prefix,
-            )
-            self.rename_maps[register_prefix] = rmap
-        return rmap
 
 
 def _expr_signature(nodes: List[Expr]) -> Tuple:
@@ -286,13 +265,6 @@ def graph_structure(graph: FactorGraph, values: Values,
     return GraphStructure(key=key, _graph=graph, _factor_nodes={})
 
 
-def structural_fingerprint(graph: FactorGraph, values: Values,
-                           ordering: Optional[Sequence[Key]] = None,
-                           extra: Tuple = ()) -> str:
-    """The fingerprint string alone (see :func:`graph_structure`)."""
-    return graph_structure(graph, values, ordering, extra).fingerprint
-
-
 # ----------------------------------------------------------------------
 # Rebinding: fresh numerics (and register namespace) on a template
 # ----------------------------------------------------------------------
@@ -317,35 +289,25 @@ def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
 
 
 def rebind(template, graph: FactorGraph, values: Values,
-           structure: GraphStructure,
-           template_algorithm: str = "", template_prefix: str = "",
-           algorithm: Optional[str] = None,
-           register_prefix: Optional[str] = None,
-           rename_map: Optional[Dict[str, str]] = None):
-    """A template compilation re-bound to new numerics.
+           structure: GraphStructure, name: str):
+    """A template compilation re-bound to new numerics under stream ``name``.
 
     Returns a new :class:`~repro.compiler.codegen.CompiledGraph` whose
     instruction stream is identical to a cold compile of ``(graph,
-    values)`` with the requested ``algorithm``/``register_prefix``.
-    Value-free instructions are shared with the template (instructions
-    are immutable after emission); CONST/EMBED instructions are cloned
-    with freshly resolved numerics.  ``rename_map`` is an optional
-    precomputed register map (see :meth:`CacheEntry.rename_map`) —
-    otherwise one is derived from the prefixes when they differ.
+    values)`` with ``name`` as its algorithm and register prefix.  The
+    template's own name is its program's ``algorithm``.  Under that name
+    the value-free instructions are shared with the template
+    (instructions are immutable after emission) and only CONST/EMBED
+    instructions are cloned with freshly resolved numerics; under a new
+    name every instruction is cloned into the renamed namespace.
     """
     from repro.compiler.codegen import CompiledGraph, RowBlock
 
-    if algorithm is None:
-        algorithm = template_algorithm
-    if register_prefix is None:
-        register_prefix = template_prefix
-    rmap = rename_map
-    if rmap is None and register_prefix != template_prefix:
-        rmap = _build_rename_map(template.program.register_shapes,
-                                 template_prefix, register_prefix)
-    retag = algorithm != template_algorithm
+    template_name = template.program.algorithm
+    rmap = None if name == template_name else _build_rename_map(
+        template.program.register_shapes, template_name, name)
 
-    program = Program(algorithm=algorithm)
+    program = Program(algorithm=name)
     program._counter = template.program._counter
     program._reg_counter = template.program._reg_counter
     if rmap is None:
@@ -356,7 +318,6 @@ def rebind(template, graph: FactorGraph, values: Values,
             for reg, shape in template.program.register_shapes.items()
         }
 
-    share = rmap is None and not retag
     out = program.instructions
     for instr in template.program.instructions:
         spec = instr.meta.get("binding")
@@ -366,7 +327,7 @@ def rebind(template, graph: FactorGraph, values: Values,
              and spec[0] != BIND_STATIC)
             or op is Opcode.EMBED
         )
-        if share and not fresh_value:
+        if rmap is None and not fresh_value:
             out.append(instr)
             continue
 
@@ -401,7 +362,7 @@ def rebind(template, graph: FactorGraph, values: Values,
             dsts=[rmap[d] for d in instr.dsts] if rmap else list(instr.dsts),
             meta=meta,
             phase=instr.phase,
-            algorithm=algorithm,
+            algorithm=name,
             provenance=instr.provenance,
         ))
 
@@ -432,24 +393,24 @@ class CompilationCache:
     structure slots of the frames merged from them.
 
     Every program :meth:`compile` returns is keyed by its *stream key*
-    ``(entry identity, algorithm, register_prefix)`` and shares the
-    structure slot of the template it was rebound from.  A frame merged
-    from such streams is keyed by the tuple of their stream keys and
-    shares a slot kept here (:meth:`attach_frame_slot`), so every frame
-    with the same streams plans and tabulates once.  :meth:`clear`
-    drops both.
+    ``(entry identity, name)`` and shares the structure slot of the
+    template it was rebound from.  A frame merged from such streams is
+    keyed by the tuple of their stream keys and shares a slot kept here
+    (:meth:`attach_frame_slot`), so every frame with the same streams
+    plans and tabulates once.  :meth:`clear` drops both.
     """
 
+    # Structures whose templates are kept (least recently used goes
+    # first); a frame whose structure changes with its data (Quadrotor)
+    # brings a new one every frame.
+    MAX_ENTRIES = 64
     # Frame structures whose slots are kept (least recently used goes
     # first).  A slot holds a fused plan and simulator tables of ~1 MB,
     # and a frame whose structure changes with its data (Quadrotor)
     # brings a new one every frame, so the store stays small.
     FRAME_SLOTS = 4
 
-    def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self):
         self._entries: "OrderedDict[Tuple, CacheEntry]" = OrderedDict()
         self._frame_slots: "OrderedDict[Tuple, StructureSlot]" = \
             OrderedDict()
@@ -483,61 +444,41 @@ class CompilationCache:
         program.structure_key = key
         program.attach_slot(slot)
 
-    def compile(self, graph: FactorGraph, values: Values,
-                ordering: Optional[Sequence[Key]] = None, *,
-                algorithm: str = "", register_prefix: str = "",
-                extra: Tuple = ()):
-        """Compile with caching: cold compile on miss, rebind on hit."""
-        structure = graph_structure(graph, values, ordering, extra)
+    def compile(self, graph: FactorGraph, values: Values, name: str = ""):
+        """Compile stream ``name`` (its algorithm tag and register prefix)
+        with caching: cold compile on a miss, rebind on a hit."""
+        structure = graph_structure(graph, values)
         entry = self._entries.get(structure.key)
         if entry is None:
             from repro.compiler.codegen import compile_graph
 
-            compiled = compile_graph(graph, values, ordering,
-                                     algorithm=algorithm,
-                                     register_prefix=register_prefix)
-            entry = CacheEntry(compiled, algorithm, register_prefix)
+            compiled = compile_graph(graph, values, algorithm=name,
+                                     register_prefix=name)
+            entry = CacheEntry({name: compiled})
             self._entries[structure.key] = entry
-            while len(self._entries) > self.max_entries:
+            while len(self._entries) > self.MAX_ENTRIES:
                 self._entries.popitem(last=False)
             self.misses += 1
             counters.incr("compiler.cache.miss")
-            compiled.program.structure_key = (entry.identity, algorithm,
-                                              register_prefix)
+            compiled.program.structure_key = (entry.identity, name)
             return compiled
 
         self._entries.move_to_end(structure.key)
         self.hits += 1
         counters.incr("compiler.cache.hit")
-        started = time.perf_counter_ns()
         with trace.span("compiler.cache.rebind", category="compiler.pass",
-                        algorithm=algorithm or ""):
-            if (algorithm == entry.algorithm
-                    and register_prefix == entry.register_prefix):
-                source = entry.compiled
-                rebound = rebind(source, graph, values, structure,
-                                 entry.algorithm, entry.register_prefix)
+                        algorithm=name):
+            source = entry.templates.get(name)
+            if source is None:
+                # A new name: rename the cold template once and keep the
+                # result as this name's template.
+                first = next(iter(entry.templates.values()))
+                rebound = source = entry.templates[name] = rebind(
+                    first, graph, values, structure, name)
             else:
-                if entry.variants is None:
-                    entry.variants = {}
-                variant_key = (algorithm, register_prefix)
-                source = entry.variants.get(variant_key)
-                if source is None:
-                    rebound = source = rebind(
-                        entry.compiled, graph, values, structure,
-                        entry.algorithm, entry.register_prefix,
-                        algorithm, register_prefix,
-                        rename_map=entry.rename_map(register_prefix),
-                    )
-                    entry.variants[variant_key] = rebound
-                else:
-                    rebound = rebind(source, graph, values, structure,
-                                     algorithm, register_prefix)
-        counters.incr("compiler.cache.rebind_ns",
-                      time.perf_counter_ns() - started)
+                rebound = rebind(source, graph, values, structure, name)
         program = rebound.program
-        program.structure_key = (entry.identity, algorithm,
-                                 register_prefix)
+        program.structure_key = (entry.identity, name)
         if rebound is not source:
             # Same wiring as the template it was rebound from: same
             # fused plan, same simulator tables.
@@ -546,55 +487,15 @@ class CompilationCache:
 
 
 # ----------------------------------------------------------------------
-# Process-wide default cache and enablement toggle
+# Process-wide default cache
 # ----------------------------------------------------------------------
 
 _default_cache = CompilationCache()
-_cache_enabled = os.environ.get("REPRO_COMPILE_CACHE", "1").lower() \
-    not in ("0", "false", "off")
 
 
 def default_cache() -> CompilationCache:
     return _default_cache
 
 
-def cache_enabled() -> bool:
-    return _cache_enabled
-
-
-def set_cache_enabled(enabled: bool) -> bool:
-    """Toggle the process-wide cache; returns the previous setting."""
-    global _cache_enabled
-    previous = _cache_enabled
-    _cache_enabled = bool(enabled)
-    return previous
-
-
 def clear_default_cache() -> None:
     _default_cache.clear()
-
-
-def active_cache() -> Optional[CompilationCache]:
-    """The process-wide default cache, or None while it is disabled."""
-    return _default_cache if _cache_enabled else None
-
-
-def cached_compile_graph(graph: FactorGraph, values: Values,
-                         ordering: Optional[Sequence[Key]] = None, *,
-                         algorithm: str = "", register_prefix: str = "",
-                         cache: Optional[CompilationCache] = None):
-    """:func:`~repro.compiler.codegen.compile_graph` through the cache.
-
-    With ``cache=None`` the process-wide default cache is used when
-    enabled (see :func:`set_cache_enabled` and the
-    ``REPRO_COMPILE_CACHE`` environment variable); when disabled this
-    falls through to a plain cold compile.
-    """
-    active = cache if cache is not None else active_cache()
-    if active is None:
-        from repro.compiler.codegen import compile_graph
-
-        return compile_graph(graph, values, ordering, algorithm=algorithm,
-                             register_prefix=register_prefix)
-    return active.compile(graph, values, ordering, algorithm=algorithm,
-                          register_prefix=register_prefix)

@@ -439,8 +439,7 @@ def _compile_graph(graph: FactorGraph, values: Values,
     )
 
 
-def compile_application(algorithm_graphs: Dict[str, Tuple[FactorGraph, Values]],
-                        orderings: Optional[Dict[str, Sequence[Key]]] = None
+def compile_application(algorithm_graphs: Dict[str, Tuple[FactorGraph, Values]]
                         ) -> Program:
     """Compile several algorithms into one merged application program.
 
@@ -448,32 +447,27 @@ def compile_application(algorithm_graphs: Dict[str, Tuple[FactorGraph, Values]],
     has no false dependencies between algorithms — this is precisely what
     enables the coarse-grained out-of-order execution of Sec. 6.3.
 
-    Per-algorithm compiles go through the process-wide structural
-    compilation cache (:mod:`repro.compiler.cache`) unless it is
-    disabled: same-structure streams (e.g. the repeated control solves
-    of one frame) compile once and rebind, instruction-identical to
-    cold compiles.  The merged program is keyed by its streams' keys
-    and shares one structure slot with every frame built from the same
+    Every stream compiles through the process-wide structural
+    compilation cache (:mod:`repro.compiler.cache`) under its label,
+    which names both its algorithm and its register prefix:
+    same-structure streams (e.g. the repeated control solves of one
+    frame) compile once and rebind, instruction-identical to cold
+    compiles.  The merged program is keyed by its streams' keys and
+    shares one structure slot with every frame built from the same
     streams, so the fused plan and the simulator's tables are built
-    once per frame structure.  With the cache disabled each frame keeps
-    a private slot.
+    once per frame structure.
     """
-    from repro.compiler.cache import active_cache, cached_compile_graph
+    from repro.compiler.cache import default_cache
 
-    cache = active_cache()
+    cache = default_cache()
     with trace.span("compile_application", category="compiler",
                     algorithms=len(algorithm_graphs)) as sp:
         merged = Program(algorithm="application")
         stream_keys = []
         for name, (graph, values) in algorithm_graphs.items():
-            order = (orderings or {}).get(name)
-            compiled = cached_compile_graph(graph, values, order,
-                                            algorithm=name,
-                                            register_prefix=name,
-                                            cache=cache)
+            compiled = cache.compile(graph, values, name)
             merged.extend(compiled.program)
             stream_keys.append(compiled.program.structure_key)
-        if cache is not None:
-            cache.attach_frame_slot(merged, tuple(stream_keys))
+        cache.attach_frame_slot(merged, tuple(stream_keys))
         sp.set(instructions_after=len(merged.instructions))
     return merged

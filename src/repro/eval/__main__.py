@@ -115,14 +115,6 @@ def main(argv=None) -> int:
     parser.add_argument("--obs-debug", action="store_true",
                         help="arm the simulator's schedule-invariant "
                              "assertions while observing")
-    parser.add_argument("--wallclock", action="store_true",
-                        help="profile host per-opcode interpreter self "
-                             "time; each metrics entry gains a "
-                             "host_wallclock table (see "
-                             "`python -m repro.obs hotspots`)")
-    parser.add_argument("--no-compile-cache", action="store_true",
-                        help="disable the structural compilation cache "
-                             "(cold compile every graph)")
     parser.add_argument("--executor", metavar="NAME",
                         help="value-domain backend for compiled solves: "
                              "interpreter or fused (default: "
@@ -138,11 +130,6 @@ def main(argv=None) -> int:
         from repro.resilience.supervisor import enable_supervision
 
         enable_supervision()
-
-    if args.no_compile_cache:
-        from repro.compiler.cache import set_cache_enabled
-
-        set_cache_enabled(False)
 
     if args.executor:
         from repro.compiler.fused import set_default_executor
@@ -170,12 +157,6 @@ def main(argv=None) -> int:
         # Fleet telemetry rides along: compiled/supervised solves land
         # labeled totals + latency sketches, drained per experiment.
         obs.fleet.enable()
-    profiler = None
-    if args.wallclock:
-        from repro.obs import wallclock
-
-        profiler = wallclock.enable()
-
     try:
         stream = open(args.output, "w") if args.output else sys.stdout
     except OSError as exc:
@@ -192,7 +173,6 @@ def main(argv=None) -> int:
                     tables = _tables_of(runner(args))
                     elapsed = time.perf_counter() - started
                 snapshot = obs.collector().drain() if observing else None
-                host_wallclock = profiler.drain() if profiler else None
                 fleet_section = None
                 registry = obs.fleet.active()
                 if registry is not None:
@@ -200,10 +180,8 @@ def main(argv=None) -> int:
                     registry.clear()
                     if section["series"] or section["windows"]:
                         fleet_section = section
-                cache[key] = (tables, elapsed, snapshot, host_wallclock,
-                              fleet_section)
-            tables, elapsed, snapshot, host_wallclock, fleet_section = \
-                cache[key]
+                cache[key] = (tables, elapsed, snapshot, fleet_section)
+            tables, elapsed, snapshot, fleet_section = cache[key]
             for table in tables:
                 if table.experiment_id != eid:
                     continue
@@ -216,14 +194,9 @@ def main(argv=None) -> int:
                     print(f"[{eid} in {elapsed:.1f}s]", file=stream)
                     print(file=stream)
             if snapshot is not None:
-                extra = {}
-                if host_wallclock:
-                    extra["host_wallclock"] = host_wallclock
-                if fleet_section:
-                    extra["fleet"] = fleet_section
+                extra = {"fleet": fleet_section} if fleet_section else None
                 entries.append(
-                    experiment_entry(eid, elapsed, snapshot,
-                                     extra=extra or None))
+                    experiment_entry(eid, elapsed, snapshot, extra=extra))
                 if args.trace_dir:
                     write_chrome_trace(
                         os.path.join(args.trace_dir,
@@ -236,10 +209,6 @@ def main(argv=None) -> int:
         if observing:
             obs.disable()
             obs.fleet.disable()
-        if profiler is not None:
-            from repro.obs import wallclock
-
-            wallclock.disable()
 
     if args.metrics:
         write_metrics(args.metrics, entries, meta={

@@ -111,8 +111,8 @@ def main(argv=None) -> int:
                       help="relative regression tolerance (default 0.10)")
     diff.add_argument("--exact", action="store_true",
                       help="require bit-identical metrics (the "
-                           "compile-cache parity gate); any difference "
-                           "in either direction fails")
+                           "baseline gate); any difference in either "
+                           "direction fails")
 
     bottleneck = sub.add_parser(
         "bottleneck",

@@ -2,15 +2,16 @@
 
 Reads a **metrics** document (``repro.obs.metrics/1``) from ``python -m
 repro.eval --metrics``: the ``host.phase`` span timers in each entry's
-``span_timings_s`` and, with ``--wallclock``, a ``host_wallclock``
-profiler snapshot per entry.
+``span_timings_s`` and any ``host_wallclock`` profiler snapshot an
+entry carries.
 
 Renders the per-opcode self-time ranking (calls, total ms, ns/call,
 elements), the opcode x provenance-stage cross table, and the host
 phase timers (build / compile / refresh / rebind / execute / simulate).
-The per-opcode tables fill only when an executor ran under
-:func:`repro.obs.wallclock.profiled_scope`; no ``repro.eval``
-experiment runs one, so they are empty today and the view says so.  A
+The per-opcode tables fill only from a snapshot of an executor run
+under :func:`repro.obs.wallclock.profiled_scope`; no command-line tool
+writes one into a metrics document, so they are empty today and the
+view says so.  A
 **BENCH** document (``repro.bench/1``) carries model outputs only and
 renders the same no-data pointer, so older documents stay readable.
 """
@@ -99,8 +100,8 @@ def render_hotspots(document: Dict[str, Any], top: int = 10) -> str:
         lines.extend((
             "  (no per-opcode profile recorded: only an executor run under",
             "   repro.obs.wallclock.profiled_scope records one, and no",
-            "   repro.eval experiment runs an executor, so `python -m",
-            "   repro.eval --wallclock` records 0 programs)",
+            "   command-line tool writes its snapshot into a metrics",
+            "   document)",
         ))
 
     stage_rows: List[Tuple[str, str, Dict[str, Any]]] = []

@@ -16,11 +16,10 @@ cached — was unmeasured.  This module profiles it:
   disabled path costs one module-global read per ``run()`` call and the
   interpreter loop itself is untouched
   (``tests/compiler/test_executor_overhead.py`` holds the bound).
-- A drained snapshot is plain JSON-able data; it ships in the
-  ``host_wallclock`` entries of ``python -m repro.eval --wallclock``
-  metrics documents, rendered by ``python -m repro.obs hotspots``.  No
-  eval experiment runs an executor, so those snapshots count 0
-  programs; a per-opcode table needs a caller that runs one inside
+- A drained snapshot is plain JSON-able data; ``python -m repro.obs
+  hotspots`` renders the ``host_wallclock`` entries of a metrics
+  document that carries one.  No command-line tool writes them: a
+  per-opcode table needs a caller that runs an executor inside
   :class:`profiled_scope`.
 
 Phase-level wall timers (build / compile / rebind / execute / simulate)

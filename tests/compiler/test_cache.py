@@ -2,8 +2,9 @@
 
 Covers cache keying edge cases (same structure/different values hits;
 noise-dimension, added-factor, ordering, variable-dimension changes
-miss), provenance preservation across rebind, the obs counters, LRU
-eviction, and the process-wide enable toggle.
+miss), provenance preservation across rebind, one template per stream
+name, the obs counters, LRU eviction, and frames keying through the
+process-wide default cache.
 """
 
 import numpy as np
@@ -12,14 +13,11 @@ import pytest
 import repro.obs as obs
 from repro.compiler import (
     CompilationCache,
-    cache_enabled,
-    cached_compile_graph,
     clear_default_cache,
+    compile_application,
     compile_graph,
     default_cache,
     graph_structure,
-    set_cache_enabled,
-    structural_fingerprint,
 )
 from repro.compiler.isa import Opcode
 from repro.factorgraph import FactorGraph, Isotropic, Values, X, Y
@@ -45,11 +43,15 @@ def chain(value_seed=0, num_poses=3, space=3, sigma=0.2, with_gps=False):
     return graph, values
 
 
+def fingerprint(graph, values, ordering=None, extra=()):
+    return graph_structure(graph, values, ordering, extra).fingerprint
+
+
 class TestKeying:
     def test_same_structure_different_values_hits(self):
         g1, v1 = chain(0)
         g2, v2 = chain(99)
-        assert structural_fingerprint(g1, v1) == structural_fingerprint(g2, v2)
+        assert fingerprint(g1, v1) == fingerprint(g2, v2)
         cache = CompilationCache()
         cache.compile(g1, v1)
         cache.compile(g2, v2)
@@ -59,24 +61,24 @@ class TestKeying:
         # Noise *values* are numerics, not structure.
         g1, v1 = chain(0, sigma=0.2)
         g2, v2 = chain(0, sigma=0.9)
-        assert structural_fingerprint(g1, v1) == structural_fingerprint(g2, v2)
+        assert fingerprint(g1, v1) == fingerprint(g2, v2)
 
     def test_added_factor_misses(self):
         g1, v1 = chain(0)
         g2, v2 = chain(0, with_gps=True)
-        assert structural_fingerprint(g1, v1) != structural_fingerprint(g2, v2)
+        assert fingerprint(g1, v1) != fingerprint(g2, v2)
 
     def test_changed_variable_dims_miss(self):
         g2d = chain(0, space=2)
         g3d = chain(0, space=3)
-        assert structural_fingerprint(*g2d) != structural_fingerprint(*g3d)
+        assert fingerprint(*g2d) != fingerprint(*g3d)
 
     def test_changed_ordering_misses(self):
         graph, values = chain(0)
         keys = list(graph.keys())
-        fp_default = structural_fingerprint(graph, values)
-        fp_forward = structural_fingerprint(graph, values, keys)
-        fp_reverse = structural_fingerprint(graph, values, keys[::-1])
+        fp_default = fingerprint(graph, values)
+        fp_forward = fingerprint(graph, values, keys)
+        fp_reverse = fingerprint(graph, values, keys[::-1])
         assert len({fp_default, fp_forward, fp_reverse}) == 3
 
     def test_changed_noise_dims_miss(self):
@@ -87,13 +89,12 @@ class TestKeying:
         g2.add(PriorFactor(Y(0), np.zeros(2), Isotropic(2, 1.0)))
         v2 = values.copy()
         v2.insert(Y(0), np.zeros(2))
-        assert structural_fingerprint(graph, values) \
-            != structural_fingerprint(g2, v2)
+        assert fingerprint(graph, values) != fingerprint(g2, v2)
 
     def test_extra_tokens_partition_the_cache(self):
         graph, values = chain(0)
-        assert structural_fingerprint(graph, values, extra=("8bit",)) \
-            != structural_fingerprint(graph, values, extra=("16bit",))
+        assert fingerprint(graph, values, extra=("8bit",)) \
+            != fingerprint(graph, values, extra=("16bit",))
 
 
 class TestRebind:
@@ -129,6 +130,22 @@ class TestRebind:
                 tagged += 1
         assert tagged > 0
 
+    def test_new_name_renamed_once_then_rebound_from_its_template(self):
+        cache = CompilationCache()
+        cold = cache.compile(*chain(0), name="a")
+        renamed = cache.compile(*chain(1), name="b")
+        again = cache.compile(*chain(2), name="b")
+        # The rename clones every instruction; the next hit under the
+        # same name rebinds the renamed template, sharing its value-free
+        # instructions and cloning only the value-bearing ones.
+        assert not any(x is y for x, y in zip(renamed.program.instructions,
+                                              cold.program.instructions))
+        shared = [x is y for x, y in zip(again.program.instructions,
+                                         renamed.program.instructions)]
+        assert any(shared) and not all(shared)
+        assert again.program.structure_slot() is \
+            renamed.program.structure_slot()
+
     def test_default_ordering_reused_from_template(self):
         g1, v1 = chain(0, num_poses=5)
         g2, v2 = chain(3, num_poses=5)
@@ -140,8 +157,9 @@ class TestRebind:
 
 
 class TestCachePolicy:
-    def test_lru_eviction(self):
-        cache = CompilationCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(CompilationCache, "MAX_ENTRIES", 2)
+        cache = CompilationCache()
         problems = [chain(0, num_poses=n) for n in (2, 3, 4)]
         for g, v in problems:
             cache.compile(g, v)
@@ -168,54 +186,24 @@ class TestCachePolicy:
             obs.disable()
         assert snapshot.counters["compiler.cache.miss"] == 1
         assert snapshot.counters["compiler.cache.hit"] == 1
-        assert snapshot.counters["compiler.cache.rebind_ns"] > 0
 
-
-class TestToggle:
-    def test_set_cache_enabled_round_trip(self):
-        previous = set_cache_enabled(False)
+    def test_frames_use_the_default_cache(self):
+        clear_default_cache()
         try:
-            assert not cache_enabled()
-            clear_default_cache()
-            cached_compile_graph(*chain(0))
-            cached_compile_graph(*chain(1))
-            assert default_cache().stats()["hits"] == 0
-        finally:
-            set_cache_enabled(previous)
-
-    def test_default_cache_used_when_enabled(self):
-        previous = set_cache_enabled(True)
-        try:
-            clear_default_cache()
-            cached_compile_graph(*chain(0))
-            cached_compile_graph(*chain(1))
+            compile_application({"a": chain(0)})
+            compile_application({"a": chain(1)})
             assert default_cache().stats() == {
                 "hits": 1, "misses": 1, "entries": 1,
             }
         finally:
-            set_cache_enabled(previous)
             clear_default_cache()
-
-    def test_explicit_cache_overrides_toggle(self):
-        previous = set_cache_enabled(False)
-        try:
-            cache = CompilationCache()
-            cached_compile_graph(*chain(0), cache=cache)
-            cached_compile_graph(*chain(1), cache=cache)
-            assert cache.stats()["hits"] == 1
-        finally:
-            set_cache_enabled(previous)
-
-    def test_max_entries_validation(self):
-        with pytest.raises(ValueError):
-            CompilationCache(max_entries=0)
 
 
 class TestStructure:
     def test_fingerprint_is_stable_hex(self):
         graph, values = chain(0)
-        fp = structural_fingerprint(graph, values)
-        assert fp == structural_fingerprint(graph, values)
+        fp = fingerprint(graph, values)
+        assert fp == fingerprint(graph, values)
         assert len(fp) == 64
         int(fp, 16)
 

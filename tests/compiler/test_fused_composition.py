@@ -23,8 +23,8 @@ import repro.obs as obs
 from repro.compiler import (
     Executor,
     FusedExecutor,
-    cached_compile_graph,
     compile_graph,
+    default_cache,
 )
 from repro.compiler.cache import CompilationCache
 from repro.compiler.fused import (
@@ -69,10 +69,8 @@ def _env_default_executor():
 class TestPlanReuseAcrossRebinds:
     def test_rebound_programs_share_one_plan(self):
         cache = CompilationCache()
-        compiled = [
-            cached_compile_graph(*random_problem(3, seed), cache=cache)
-            for seed in (100, 101, 102)
-        ]
+        compiled = [cache.compile(*random_problem(3, seed))
+                    for seed in (100, 101, 102)]
         assert cache.stats()["hits"] == 2
         plans = [plan_for(c.program) for c in compiled]
         assert plans[0] is plans[1] is plans[2]
@@ -83,8 +81,7 @@ class TestPlanReuseAcrossRebinds:
         try:
             obs.collector().drain()
             for seed in (200, 201, 202, 203):
-                compiled = cached_compile_graph(
-                    *random_problem(3, seed), cache=cache)
+                compiled = cache.compile(*random_problem(3, seed))
                 FusedExecutor().run(compiled.program)
             snapshot = obs.collector().drain()
         finally:
@@ -96,8 +93,8 @@ class TestPlanReuseAcrossRebinds:
         """Same structure, different values: the plan is shared but the
         rebound CONST slabs (and their memoized stacks) are not."""
         cache = CompilationCache()
-        a = cached_compile_graph(*random_problem(3, 300), cache=cache)
-        b = cached_compile_graph(*random_problem(3, 301), cache=cache)
+        a = cache.compile(*random_problem(3, 300))
+        b = cache.compile(*random_problem(3, 301))
         sol_a = a.extract_solution(FusedExecutor().run(a.program))
         sol_b = b.extract_solution(FusedExecutor().run(b.program))
         ref_a = a.extract_solution(Executor().run(a.program))
@@ -127,7 +124,7 @@ class TestPlanReuseAcrossRebinds:
 
 class TestTracingComposition:
     def test_vtrace_byte_identical_across_executors(self, problem, tmp_path):
-        compiled = cached_compile_graph(*problem, cache=None)
+        compiled = default_cache().compile(*problem)
         path_interp = tmp_path / "interp.trace"
         path_fused = tmp_path / "fused.trace"
         with vtrace.recording_scope(str(path_interp), ring_size=0):
@@ -137,7 +134,7 @@ class TestTracingComposition:
         assert path_interp.read_bytes() == path_fused.read_bytes()
 
     def test_wallclock_records_per_group_events(self, problem):
-        compiled = cached_compile_graph(*problem, cache=None)
+        compiled = default_cache().compile(*problem)
         plan = plan_for(compiled.program)
         with wallclock.profiled_scope() as profiler:
             FusedExecutor().run(compiled.program)
@@ -155,7 +152,7 @@ class TestTracingComposition:
         assert plan.dispatch_count() < len(compiled.program.instructions)
 
     def test_vtrace_and_wallclock_together(self, problem, tmp_path):
-        compiled = cached_compile_graph(*problem, cache=None)
+        compiled = default_cache().compile(*problem)
         path = tmp_path / "both.trace"
         with wallclock.profiled_scope() as profiler:
             with vtrace.recording_scope(str(path), ring_size=0):
@@ -191,7 +188,7 @@ class TestHookComposition:
     @pytest.mark.parametrize("backend", [Executor, FusedExecutor],
                              ids=["interpreter", "fused"])
     def test_hooks_compose(self, backend, hooks, problem, tmp_path):
-        program = cached_compile_graph(*problem, cache=None).program
+        program = default_cache().compile(*problem).program
         count = len(program.instructions)
         plain = Executor().run(program)
         seen = []
@@ -238,8 +235,8 @@ class TestHookComposition:
                 vtrace.recording_scope(path, ring_size=0):
             solver.solve(graph, values)
         assert solver.last_report["rung"] == rung
-        count = len(cached_compile_graph(graph, values,
-                                         cache=None).program.instructions)
+        count = len(default_cache().compile(graph,
+                                            values).program.instructions)
         snap = profiler.snapshot()
         assert snap["programs"] == 1
         assert snap["instructions"] == count
@@ -249,7 +246,7 @@ class TestHookComposition:
                                                       tmp_path):
         from repro.errors import ExecutionError
 
-        program = cached_compile_graph(*problem, cache=None).program
+        program = default_cache().compile(*problem).program
 
         def crash(executor, program, indices):
             raise ExecutionError("injected")

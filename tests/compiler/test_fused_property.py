@@ -301,12 +301,12 @@ def test_random_compiled_problems_bit_identical(structure_seed):
     """End-to-end fuzz over *compiled* random graphs: QR fronts, BSUB
     chains, EMBED fallbacks, and whitening stacks with randomized
     structure — the full register file must match bit for bit."""
-    from repro.compiler import cached_compile_graph
+    from repro.compiler import default_cache
     from tests.diff.util import random_problem
 
     graph, values = random_problem(structure_seed,
                                    structure_seed + 9000)
-    compiled = cached_compile_graph(graph, values, cache=None)
+    compiled = default_cache().compile(graph, values)
     interp, fused = run_both(compiled.program)
     assert_registers_match(compiled.program, interp, fused)
 

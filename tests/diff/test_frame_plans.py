@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps import all_applications
 from repro.compiler import Executor, FusedExecutor, fused
-from repro.compiler.cache import clear_default_cache, set_cache_enabled
+from repro.compiler.cache import clear_default_cache
 
 from tests.diff.util import call_counter
 
@@ -24,11 +24,9 @@ SEEDS = (0, 1, 2, 3)
 
 @pytest.fixture
 def fresh_cache():
-    previous = set_cache_enabled(True)
     clear_default_cache()
     yield
     clear_default_cache()
-    set_cache_enabled(previous)
 
 
 def assert_registers_identical(got, expected, context):

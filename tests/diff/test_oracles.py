@@ -27,8 +27,8 @@ import pytest
 from repro.compiler import (
     Executor,
     FusedExecutor,
-    cached_compile_graph,
     compile_graph,
+    default_cache,
     executor_factory,
     set_default_executor,
 )
@@ -59,7 +59,7 @@ EDGE_SE2 0 3 2.8 1.0 1.6 50 0 0 50 0 200
 
 
 def check_oracles(graph, values, atol=1e-8):
-    compiled = cached_compile_graph(graph, values, cache=None)
+    compiled = default_cache().compile(graph, values)
     registers = Executor().run(compiled.program)
     executed = compiled.extract_solution(registers)
 

@@ -5,8 +5,8 @@ Frames with the same streams share a slot kept by the compilation cache;
 the simulator keeps its unit classes, dependency map, latencies and
 energies there, keyed by the config's unit templates (not its instance
 counts).  A slot refuses a program keyed for another structure, a fault
-plan never writes into the shared tables, and a disabled or cleared
-cache leaves frames to plan on their own.
+plan never writes into the shared tables, and a cleared cache drops
+the frame slots.
 """
 
 import dataclasses
@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from repro.apps import all_applications
-from repro.compiler import FusedExecutor, fused, plan_for
+from repro.compiler import FusedExecutor, plan_for
 from repro.compiler.cache import (
     CompilationCache,
     clear_default_cache,
     default_cache,
-    set_cache_enabled,
 )
 from repro.compiler.isa import Opcode, Program
 from repro.errors import CompileError
@@ -37,18 +36,9 @@ def app_named(name):
 
 @pytest.fixture
 def fresh_cache():
-    previous = set_cache_enabled(True)
     clear_default_cache()
     yield
     clear_default_cache()
-    set_cache_enabled(previous)
-
-
-@pytest.fixture
-def no_cache():
-    previous = set_cache_enabled(False)
-    yield
-    set_cache_enabled(previous)
 
 
 def wired_program(chained, key):
@@ -85,9 +75,9 @@ class TestSimulatorTables:
         shared = Simulator(wide).run(program)
         assert (latencies[0], energies[0]) == (2, 2)
 
-        # The recomputed tables are the new template's: a program with
-        # a private slot gives the same cycles and energy.
-        set_cache_enabled(False)
+        # The recomputed tables are the new template's: a frame in a
+        # fresh slot gives the same cycles and energy.
+        clear_default_cache()
         private = app_named("Manipulator").compile_frame(0)
         alone = Simulator(wide).run(private)
         assert (shared.total_cycles, shared.energy_mj) == \
@@ -121,17 +111,6 @@ class TestWrongSlot:
 
 
 class TestFrameSlots:
-    def test_disabled_cache_plans_every_frame(self, monkeypatch, no_cache):
-        builds = call_counter(monkeypatch, fused, "build_plan")
-        app = app_named("MobileRobot")
-        programs = [app.compile_frame(seed) for seed in (0, 1)]
-        for program in programs:
-            FusedExecutor().run(program)
-        assert builds[0] == 2
-        assert programs[0].structure_key is None
-        assert programs[0].structure_slot() is not \
-            programs[1].structure_slot()
-
     def test_same_streams_share_a_frame_slot(self, fresh_cache):
         app = app_named("MobileRobot")
         first, second = (app.compile_frame(seed) for seed in (0, 1))
