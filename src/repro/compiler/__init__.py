@@ -31,7 +31,6 @@ from repro.compiler.fused import (
     default_executor_name,
     executor_factory,
     plan_for,
-    set_default_executor,
 )
 from repro.compiler.expression_factor import ExpressionFactor
 from repro.compiler.exprs import (
@@ -101,7 +100,7 @@ __all__ = [
     "Executor",
     "FusedExecutor", "FusedPlan", "build_plan", "plan_for",
     "EXECUTOR_FUSED", "EXECUTOR_INTERPRETER", "EXECUTOR_NAMES",
-    "default_executor_name", "executor_factory", "set_default_executor",
+    "default_executor_name", "executor_factory",
     "ExpressionFactor", "factor_expression",
     "compile_factor", "compile_graph", "compile_application",
     "common_subexpression_elimination", "dead_code_elimination",

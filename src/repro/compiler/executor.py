@@ -10,7 +10,6 @@ match the factors' analytic ones.
 
 from __future__ import annotations
 
-import time
 from itertools import chain
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
@@ -20,7 +19,7 @@ from scipy.linalg import solve_triangular
 from repro.errors import ExecutionError
 from repro.compiler.isa import Instruction, Opcode, Program
 from repro.geometry import so2, so3
-from repro.obs import vtrace, wallclock
+from repro.obs import vtrace
 from repro.obs.core import is_enabled as _obs_enabled
 
 # A run-loop injector: called as ``injector(executor, program, indices)``
@@ -59,13 +58,13 @@ class Executor:
             yield (index,)
 
     def _hooked(self) -> bool:
-        """Whether any run-loop hook is installed.
+        """Whether any run-loop hook is installed: the guard, the
+        injector, or an active value tracer.
 
         Checked once per program, not per instruction, so with no hook
         the backends run their plain loops untouched.
         """
         return (self.guard is not None or self.injector is not None
-                or wallclock.active() is not None
                 or vtrace.active() is not None)
 
     def _dispatch(self, program: Program, steps: Iterable[Sequence[int]],
@@ -73,43 +72,33 @@ class Executor:
         """The hooked run loop every backend shares.
 
         ``steps`` executes one step per iteration and yields the
-        instruction indices it covered.  After each step the wall-clock
-        profiler records it as one group, then the injector and the
-        deadline guard run.  The value tracer replays program-order
-        digests of the completed steps after the loop, inside
+        instruction indices it covered.  After each step the injector
+        and then the deadline guard run.  The value tracer replays
+        program-order digests of the completed steps after the loop, inside
         ``finally``, so a crashing run still writes its record prefix
         and ``end`` footer.  SSA registers are written exactly once, so
         the replay sees the values each instruction produced.
         """
-        profiler = wallclock.active()
         tracer = vtrace.active()
         guard, injector = self.guard, self.injector
         instructions = program.instructions
-        clock = time.perf_counter_ns
         done = []
         if tracer is not None:
             tracer.begin_program(program)
         try:
-            started = clock()
             for indices in steps:
-                if profiler is not None:
-                    profiler.record_group([instructions[i] for i in indices],
-                                          clock() - started, self.registers)
                 done.append(indices)
                 if injector is not None:
                     injector(self, program, indices)
                 if guard is not None:
                     guard.check(partial={"steps": len(done),
                                          "total_steps": total})
-                started = clock()
         finally:
             if tracer is not None:
                 for index in sorted(chain.from_iterable(done)):
                     tracer.record_instruction(instructions[index],
                                               self.registers)
                 tracer.end_program()
-        if profiler is not None:
-            profiler.record_program()
         return self.registers
 
     def read(self, name: str) -> np.ndarray:

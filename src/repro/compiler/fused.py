@@ -1,8 +1,7 @@
 """Fused vectorized execution backend for ORIANNA programs.
 
 The functional :class:`~repro.compiler.executor.Executor` interprets
-MO-ISA instructions one at a time in pure Python — the dominant host
-wall-clock cost now that compilation is cached (ROADMAP item 2).  The
+MO-ISA instructions one at a time in pure Python.  The
 ``python -m repro.obs fuse-report`` analyzer measured that on every
 application >95% of instructions sit in independent same-opcode groups
 of >= 4 per dependency level; this module is the backend that cashes
@@ -14,12 +13,12 @@ that in:
   cannot depend on each other), and each level's same-opcode groups are
   split by an exact *batch signature* (operand shapes plus the meta
   fields that change the computation — VP sign, MM/MV negate, STACK
-  axis, QR front layout, BSUB parent layout).  Uniform groups become
-  one batched NumPy block op (stacked ``matmul`` on 3-D arrays,
-  vectorized adds/copies/stacks, stacked-front QR, batched
-  back-substitution); singleton or irregular groups (EMBED host calls,
-  the so(2)/so(3) special functions) fall back to the per-instruction
-  handlers.
+  axis, QR front layout, BSUB parent layout — and, for products, which
+  operands are transposed RT views).  Uniform groups become one
+  batched NumPy block op (stacked ``matmul`` on 3-D arrays, vectorized
+  adds/copies/stacks, stacked-front QR, batched back-substitution);
+  singleton or irregular groups (EMBED host calls, the so(2)/so(3)
+  special functions) fall back to the per-instruction handlers.
 - Batch steps are **chained through slabs**: each step keeps its 3-D
   output block, and a consumer whose operands are exactly a producer's
   outputs gathers with one precompiled fancy index (or reuses the
@@ -43,20 +42,23 @@ that in:
   R factor per front as the interpreter's per-front reduced QR; and
   the back-substitution step replicates :func:`scipy.linalg.
   solve_triangular`'s exact LAPACK dispatch (``trtrs`` on the
-  transposed system for C-ordered operands).  The differential harness
-  (``tests/diff``) and the property/fuzz suite
-  (``tests/compiler/test_fused_property.py``) enforce this, with a
-  documented small-ulp bound as the backstop for BLAS builds that
+  transposed system for C-ordered operands).  A product's stack of
+  transposed operands (RT outputs) stays transposed, because BLAS
+  rounds a product on a transposed view differently than on a
+  C-ordered copy.
+  The differential harness (``tests/diff``) and the property/fuzz
+  suite (``tests/compiler/test_fused_property.py``) enforce this, with
+  a documented small-ulp bound as the backstop for BLAS builds that
   reorder reductions.
 
 :class:`FusedExecutor` is a drop-in :class:`Executor`: ``run(program)``
 returns the same register file and runs the same hooks (value tracer,
-wall-clock profiler, injector, deadline guard) through the shared
-dispatch loop, with one step per fused group.
+injector, deadline guard) through the shared dispatch loop, with one
+step per fused group.
 
-Backend selection: ``backend="fused"`` on the optimizer loops, the
-``REPRO_EXECUTOR`` environment variable (``interpreter``/``fused``), or
-``--executor`` on the bench/eval CLIs.
+Backend selection: ``backend="fused"`` on the optimizer loops,
+``CompiledSolver(executor=...)``, or the ``REPRO_EXECUTOR`` environment
+variable (``interpreter``/``fused``) as the process default.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ __all__ = [
     "default_executor_name",
     "executor_factory",
     "plan_for",
-    "set_default_executor",
 ]
 
 EXECUTOR_ENV = "REPRO_EXECUTOR"
@@ -119,6 +120,9 @@ _BATCHABLE = frozenset({
     Opcode.RR, Opcode.RV, Opcode.MM, Opcode.MV,
     Opcode.STACK, Opcode.QR, Opcode.BSUB,
 })
+
+# Opcodes whose handlers call BLAS on their operands' memory layout.
+_PRODUCTS = frozenset({Opcode.RR, Opcode.RV, Opcode.MM, Opcode.MV})
 
 
 # ----------------------------------------------------------------------
@@ -150,14 +154,26 @@ def _qr_layout_key(instr: Instruction) -> Tuple:
             len(instr.dsts), int(meta.get("marginal_rows", 0)), sources)
 
 
-def batch_signature(program: Program, instr: Instruction) -> Tuple:
+def _transposed_registers(program: Program) -> frozenset:
+    """Registers holding transposed views: the 2-D RT outputs."""
+    return frozenset(
+        instr.dsts[0] for instr in program.instructions
+        if instr.op is Opcode.RT
+        and len(_shape_of(program, instr.dsts[0])) == 2)
+
+
+def batch_signature(program: Program, instr: Instruction,
+                    transposed: frozenset) -> Tuple:
     """The exact key under which instructions may share one block op.
 
     Two instructions with equal signatures perform the *same* numeric
     computation on same-shaped operands; stacking them is then a pure
     data-layout change.  The signature folds in every meta field the
     opcode handlers read, so e.g. a negated and a plain MV can never
-    land in one batch.
+    land in one batch.  A product also records which operands are in
+    ``transposed`` (see :func:`_transposed_registers`): BLAS rounds a
+    product on a transposed view differently than on a C-ordered
+    operand, and one gathered stack holds one layout.
     """
     op = instr.op
     if op is Opcode.QR:
@@ -179,6 +195,8 @@ def batch_signature(program: Program, instr: Instruction) -> Tuple:
                  tuple((int(s), int(d)) for s, d in instr.meta["parents"]))
     else:
         extra = ()
+    if op in _PRODUCTS:
+        extra += (tuple(src in transposed for src in instr.srcs),)
     return (op.value, shapes, extra)
 
 
@@ -207,15 +225,20 @@ def _slab_index_gather(port: int, rows: List[int]):
     return gather
 
 
-def _dict_gather(names: List[str]):
+def _dict_gather(names: List[str], transposed: bool = False):
+    # ``np.asarray`` of a tuple builds a C-ordered stack.  A product's
+    # transposed operands (RT outputs) must stay transposed, because
+    # BLAS rounds a product on a transposed view differently than on a
+    # C copy: ``np.stack`` keeps their layout, at ~0.45 us per member.
+    stack = np.stack if transposed else np.asarray
     if len(names) == 1:
-        def gather(registers, slabs, _n=names[0]):
-            return np.asarray((registers[_n],))
+        def gather(registers, slabs, _n=names[0], _s=stack):
+            return _s((registers[_n],))
         return gather
     getter = itemgetter(*names)
 
-    def gather(registers, slabs, _g=getter):
-        return np.asarray(_g(registers))
+    def gather(registers, slabs, _g=getter, _s=stack):
+        return _s(_g(registers))
     return gather
 
 
@@ -770,7 +793,7 @@ class _PlanBuilder:
             self.ports[name] = (port, row)
         return port
 
-    def make_gather(self, names: List[str]):
+    def make_gather(self, names: List[str], transposed: bool = False):
         mapped = [self.ports.get(n) for n in names]
         if all(m is not None for m in mapped):
             port = mapped[0][0]
@@ -788,7 +811,7 @@ class _PlanBuilder:
                 self._const_port_by_names[key] = port
                 self.const_ports.append((port, key))
             return _slab_gather(port)
-        return _dict_gather(names)
+        return _dict_gather(names, transposed)
 
 
 def build_plan(program: Program, label: str = "") -> FusedPlan:
@@ -810,12 +833,13 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
 
     builder = _PlanBuilder({dst for _, dst in const_sites})
     steps = builder.steps
+    transposed = _transposed_registers(program)
     for level in sorted(by_level):
         groups: Dict[Tuple, List[Tuple[int, Instruction]]] = {}
         order: List[Tuple] = []
         for position, instr in by_level[level]:
             if instr.op in _BATCHABLE:
-                key = batch_signature(program, instr)
+                key = batch_signature(program, instr, transposed)
             else:
                 # Irregular opcodes always fall back; group them per
                 # opcode so the loop still saves the handler lookups.
@@ -850,9 +874,13 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
             if kernel is None:
                 steps.append(_FallbackStep(first.op, level, indices))
                 continue
+            # A product's signature keeps transposed and C-ordered
+            # operands apart, so the first member speaks for all.
             gathers = [
-                builder.make_gather([m.srcs[position] for m in instrs])
-                for position in range(len(first.srcs))
+                builder.make_gather(
+                    [m.srcs[position] for m in instrs],
+                    first.op in _PRODUCTS and src in transposed)
+                for position, src in enumerate(first.srcs)
             ]
             dsts = [instr.dsts[0] for instr in instrs]
             steps.append(_BatchStep(
@@ -903,10 +931,9 @@ class FusedExecutor(Executor):
     A drop-in :class:`Executor`: same constructor, same ``run`` &
     register-file contract, same results.  With a hook installed the
     plan runs through the shared :meth:`Executor._dispatch` loop, one
-    step per fused dispatch: the wall-clock profiler records one event
-    per group, the injector and deadline guard see each group's member
-    indices, and the value tracer's program-order replay is
-    byte-identical to an interpreter trace.
+    step per fused dispatch: the injector and deadline guard see each
+    group's member indices, and the value tracer's program-order replay
+    is byte-identical to an interpreter trace.
     """
 
     def run(self, program: Program) -> Dict[str, np.ndarray]:
@@ -919,11 +946,8 @@ class FusedExecutor(Executor):
 
 
 # ----------------------------------------------------------------------
-# Backend selection (env var / CLI switch)
+# Backend selection (env var / per-solver name)
 # ----------------------------------------------------------------------
-
-_default_override: Optional[str] = None
-
 
 def _validate_name(name: str) -> str:
     name = name.strip().lower()
@@ -936,26 +960,16 @@ def _validate_name(name: str) -> str:
 
 
 def default_executor_name() -> str:
-    """The process-wide executor: CLI override, else ``REPRO_EXECUTOR``.
+    """The process-wide executor, from ``REPRO_EXECUTOR``.
 
     An unset or empty environment variable selects the instruction-level
     interpreter; unknown names raise so typos cannot silently fall back
     to the slow path.
     """
-    if _default_override is not None:
-        return _default_override
     env = os.environ.get(EXECUTOR_ENV, "")
     if not env.strip():
         return EXECUTOR_INTERPRETER
     return _validate_name(env)
-
-
-def set_default_executor(name: Optional[str]) -> Optional[str]:
-    """Override the default executor (``None`` restores env control)."""
-    global _default_override
-    previous = _default_override
-    _default_override = None if name is None else _validate_name(name)
-    return previous
 
 
 def executor_factory(name: Optional[str] = None) -> Callable[[], Executor]:

@@ -115,29 +115,7 @@ def main(argv=None) -> int:
     parser.add_argument("--obs-debug", action="store_true",
                         help="arm the simulator's schedule-invariant "
                              "assertions while observing")
-    parser.add_argument("--executor", metavar="NAME",
-                        help="value-domain backend for compiled solves: "
-                             "interpreter or fused (default: "
-                             "$REPRO_EXECUTOR or interpreter)")
-    parser.add_argument("--supervise", action="store_true",
-                        help="run every optimizer solve through the "
-                             "supervised pipeline (deadlines, retry, "
-                             "fallback executor ladder); with no faults "
-                             "this is bit-identical to unsupervised")
     args = parser.parse_args(argv)
-
-    if args.supervise:
-        from repro.resilience.supervisor import enable_supervision
-
-        enable_supervision()
-
-    if args.executor:
-        from repro.compiler.fused import set_default_executor
-
-        try:
-            set_default_executor(args.executor)
-        except ValueError as exc:
-            parser.error(str(exc))
 
     if args.only:
         unknown = [x for x in args.only if x not in EXPERIMENTS]

@@ -24,8 +24,8 @@ Exporters turn a drained :class:`Snapshot` into artifacts:
 
 ``python -m repro.obs report metrics.json`` prints a profile summary.
 
-Labeled fleet telemetry (per app/executor/session/stage counters,
-gauges, and quantile-sketch latency histograms, with SLO tracking and
+Labeled fleet telemetry (per app/executor/session/stage counters and
+quantile-sketch latency histograms, with SLO tracking and
 Prometheus/JSONL export) lives in :mod:`repro.obs.fleet` — also off by
 default, activated with ``fleet.enable()`` / ``fleet.fleet_scope``::
 

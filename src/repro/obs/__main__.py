@@ -19,11 +19,10 @@
   enumerate config deltas (+1 unit instance, +1 issue width, policy,
   buffer), predict their payoff from the wait attribution, validate the
   top-k by resimulation, and report predicted-vs-measured speedup.
-- ``hotspots file.json`` — host wall-clock hotspot profile of a metrics
-  document: the host phase timers, and the per-opcode executor self
-  time (crossed with provenance stage) when a profiled executor run
-  recorded one.  A BENCH document carries no host timing and renders
-  the no-data pointer.
+- ``hotspots file.json`` — the host phase timers (build, compile,
+  rebind, execute, simulate, ...) of a metrics document, from its
+  ``host.phase`` spans.  A BENCH document carries no host timing and
+  renders the empty table.
 - ``fuse-report`` — level-ize each application's def-use DAG and report
   the independent same-opcode groups per level (sizes, shape
   histograms, batchable fractions) plus the interpreter-dispatch
@@ -152,16 +151,13 @@ def main(argv=None) -> int:
 
     hotspots_p = sub.add_parser(
         "hotspots",
-        help="print the host wall-clock hotspot profile of a metrics "
-             "or BENCH JSON file",
+        help="print the host phase timers of a metrics or BENCH JSON "
+             "file",
     )
     hotspots_p.add_argument("document",
                             help="a --metrics output or BENCH document")
-    hotspots_p.add_argument("--top", type=int, default=10,
-                            help="rows per ranking section (default 10)")
     hotspots_p.add_argument("--json", metavar="FILE",
-                            help="also write the merged wall-clock "
-                                 "profile as JSON")
+                            help="also write the phase timers as JSON")
 
     fuse_p = sub.add_parser(
         "fuse-report",
@@ -382,7 +378,7 @@ def main(argv=None) -> int:
         try:
             with open(args.document) as fh:
                 document = json.load(fh)
-            rendered = render_hotspots(document, top=args.top)
+            rendered = render_hotspots(document)
             if args.json:
                 from repro.obs.emit import write_json
 

@@ -5,7 +5,7 @@ enough for single-run profiling, useless for answering "what is p99
 solve latency per app per executor?" across a fleet of solves.  This
 module layers a **labeled metric registry** on top of it:
 
-- **Counters, gauges, and histograms** tagged with ``app`` /
+- **Counters and histograms** tagged with ``app`` /
   ``executor`` / ``session`` / ``stage`` labels.  Histograms are
   :class:`QuantileSketch` instances — fixed log-spaced buckets
   (DDSketch-style), so any quantile is answered within relative error
@@ -49,7 +49,6 @@ __all__ = [
     "FLEET_SCHEMA",
     "FleetRegistry",
     "KIND_COUNTER",
-    "KIND_GAUGE",
     "KIND_HISTOGRAM",
     "M_SOLVE_CRASH",
     "M_SOLVE_DEADLINE_HIT",
@@ -80,7 +79,6 @@ __all__ = [
 FLEET_SCHEMA = "repro.obs.fleet/1"
 
 KIND_COUNTER = "counter"
-KIND_GAUGE = "gauge"
 KIND_HISTOGRAM = "histogram"
 
 # Units.  "seconds" is host wall-clock — the one nondeterministic value
@@ -330,14 +328,6 @@ class FleetRegistry:
             self._series[key] = self._series.get(key, 0.0) + amount
             self._window[key] = self._window.get(key, 0.0) + amount
 
-    def gauge(self, name: str, value: float,
-              unit: str = UNIT_COUNT, **labels: Any) -> None:
-        key = (name, _label_key(self._resolve(labels)))
-        with self._lock:
-            self._register(name, KIND_GAUGE, unit)
-            self._series[key] = float(value)
-            self._window[key] = float(value)
-
     def observe(self, name: str, value: float,
                 unit: str = UNIT_SECONDS, **labels: Any) -> None:
         key = (name, _label_key(self._resolve(labels)))
@@ -396,11 +386,17 @@ class FleetRegistry:
     def merge(self, section: Dict[str, Any]) -> None:
         """Fold another snapshot/process section into this registry.
 
-        Counters add, gauges take the incoming value (document order),
-        histograms merge sketch-wise; the section's windows append after
-        this registry's own.
+        Counters add and histograms merge sketch-wise; the section's
+        windows append after this registry's own.  A series of any
+        other kind raises ``ValueError`` before anything is merged.
         """
-        for entry in section.get("series", []):
+        series = section.get("series", [])
+        for entry in series:
+            kind = entry.get("kind", KIND_COUNTER)
+            if kind not in (KIND_COUNTER, KIND_HISTOGRAM):
+                raise ValueError(f"fleet series {entry['name']!r} has "
+                                 f"unknown kind {kind!r}")
+        for entry in series:
             name = entry["name"]
             kind = entry.get("kind", KIND_COUNTER)
             unit = entry.get("unit", UNIT_COUNT)
@@ -415,8 +411,6 @@ class FleetRegistry:
                         sketch = self._series[key] = \
                             QuantileSketch(self.alpha)
                     sketch.merge(QuantileSketch.from_dict(entry["sketch"]))
-                elif kind == KIND_GAUGE:
-                    self._series[key] = float(entry["value"])
                 else:
                     self._series[key] = \
                         self._series.get(key, 0.0) + float(entry["value"])
@@ -487,7 +481,7 @@ def exact_view(section: Dict[str, Any]) -> Dict[str, Any]:
     """A fleet section with host wall-clock series removed.
 
     This is the ``diff --exact`` (and byte-determinism) view: every
-    count/gauge/sim-time series must be bit-identical between same-seed
+    count/sim-time series must be bit-identical between same-seed
     runs; only series whose unit is in :data:`WALLCLOCK_UNITS` carry
     host timing and are excluded from the comparison.
     """

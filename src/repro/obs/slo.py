@@ -285,16 +285,13 @@ def render_top(section: Dict[str, Any], top: int = 10) -> str:
     """Fleet summary: top counters by value, per-series percentiles."""
     counters = [e for e in section.get("series", [])
                 if e.get("kind") == "counter"]
-    gauges = [e for e in section.get("series", [])
-              if e.get("kind") == "gauge"]
     histograms = [e for e in section.get("series", [])
                   if e.get("kind") == "histogram"]
     windows = section.get("windows", [])
 
     lines: List[str] = [
         f"fleet summary: {len(counters)} counter series, "
-        f"{len(gauges)} gauge series, {len(histograms)} histogram "
-        f"series, {len(windows)} window(s)",
+        f"{len(histograms)} histogram series, {len(windows)} window(s)",
         "",
         f"top counters by value (top {top})",
         "-------------------------------",

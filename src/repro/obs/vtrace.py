@@ -1,11 +1,10 @@
-"""Per-instruction value tracing for the MO-ISA interpreter.
+"""Per-instruction value tracing for the MO-ISA executors.
 
-The wallclock profiler (PR 6) made the interpreter's *time* observable;
-this module makes its *values* observable — the semantic safety net for
-every execution backend to come (ROADMAP item 2 keeps the interpreting
-executor as the differential oracle for the fused/vectorized backend,
-and ``tests/diff/`` can now say *where* two executions disagree, not
-just that they do).
+This module makes an execution's *values* observable — the semantic
+safety net for every execution backend: the interpreting executor is
+the differential oracle for the fused vectorized backend, and with a
+trace of each ``tests/diff/`` can say *where* two executions disagree,
+not just that they do.
 
 - :class:`ValueTraceRecorder` streams, per executed instruction, a
   canonicalized **digest** (blake2b over dtype / shape / bytes of every
@@ -23,7 +22,7 @@ just that they do).
 - An optional ``capture_range`` records full values inline for a seq
   window — the ``--capture-window`` re-execution mode uses it to zoom
   in on a divergence point.
-- Activation follows the :mod:`repro.obs.wallclock` conventions:
+- Activation follows the :mod:`repro.obs.core` conventions:
   **no-op by default**.  :meth:`~repro.compiler.executor.Executor.run`
   checks :func:`active` once per program, so the disabled path costs
   one module-global read per ``run()`` call
@@ -179,7 +178,8 @@ class ValueTraceRecorder:
         """Digest one executed instruction's destination registers.
 
         ``registers`` is the executor's register file *after* the
-        write, exactly like the wallclock profiler's hook.
+        write: the dispatch loop replays the completed steps in program
+        order once they have run.
         """
         seq = self._seq
         self._seq += 1

@@ -81,9 +81,8 @@ class CompiledSolver:
 
     ``executor`` selects the value-domain backend by name
     (``"interpreter"`` or ``"fused"``); when ``None`` the process
-    default applies (``REPRO_EXECUTOR`` / :func:`repro.compiler.fused.
-    set_default_executor`), so CLI ``--executor`` switches reach every
-    compiled solve without plumbing.
+    default applies (the ``REPRO_EXECUTOR`` environment variable, see
+    :func:`repro.compiler.fused.default_executor_name`).
 
     Deadlines, chaos injection, retry and the fallback ladder live one
     layer up in :class:`~repro.resilience.supervisor.SupervisedSolver`,

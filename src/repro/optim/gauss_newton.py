@@ -128,12 +128,10 @@ def gauss_newton(
     ``backend="fused"`` is the compiled backend executed through the
     fused vectorized plan (:mod:`repro.compiler.fused`) — bit-identical
     results, batched NumPy dispatch.  ``backend="supervised"`` runs each
-    solve through the :mod:`repro.resilience.supervisor` pipeline
-    (deadlines, retry with backoff, the fused → interpreter → reference
-    fallback ladder); any backend is likewise supervised process-wide
-    after :func:`repro.resilience.supervisor.enable_supervision` (the
-    CLI ``--supervise`` flag), with the ladder topping out at the
-    requested backend's executor.
+    solve through a :class:`~repro.resilience.supervisor.SupervisedSolver`
+    with the default configuration (deadlines, retry with backoff, the
+    fused → interpreter → reference fallback ladder) and attaches its
+    degradation report to the result.
     """
     if params is None:
         params = GaussNewtonParams()
@@ -143,15 +141,13 @@ def gauss_newton(
         raise ValueError(
             f"unknown on_nonfinite mode {params.on_nonfinite!r}"
         )
-    from repro.resilience.supervisor import active_supervision
-
     solver = None
-    supervised = backend == "supervised" or active_supervision() is not None
+    supervised = backend == "supervised"
     if supervised:
         from repro.factorgraph.elimination import EliminationStats
-        from repro.resilience.supervisor import supervised_solver_for_backend
+        from repro.resilience.supervisor import SupervisedSolver
 
-        solver = supervised_solver_for_backend(backend)
+        solver = SupervisedSolver()
     elif backend in ("compiled", "fused"):
         from repro.factorgraph.elimination import EliminationStats
         from repro.optim.compiled import CompiledSolver

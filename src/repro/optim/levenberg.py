@@ -90,25 +90,23 @@ def levenberg_marquardt(
     empty per-trial elimination stats.  ``backend="fused"`` is the
     compiled backend executed through the fused vectorized plan
     (:mod:`repro.compiler.fused`).
-    ``backend="supervised"`` (or a process-wide
-    :func:`repro.resilience.supervisor.enable_supervision`) runs every
-    damped trial through the supervised pipeline — deadlines, bounded
-    retry, and the fallback executor ladder.
+    ``backend="supervised"`` runs every damped trial through a
+    :class:`~repro.resilience.supervisor.SupervisedSolver` with the
+    default configuration — deadlines, bounded retry, and the fallback
+    executor ladder.
     """
     if params is None:
         params = LevenbergParams()
     if backend not in ("reference", "compiled", "fused", "supervised"):
         raise ValueError(f"unknown levenberg_marquardt backend {backend!r}")
-    from repro.resilience.supervisor import active_supervision
-
     solver = None
-    supervised = backend == "supervised" or active_supervision() is not None
+    supervised = backend == "supervised"
     if supervised:
         from repro.factorgraph.elimination import EliminationStats
         from repro.optim.compiled import damped_nonlinear_graph
-        from repro.resilience.supervisor import supervised_solver_for_backend
+        from repro.resilience.supervisor import SupervisedSolver
 
-        solver = supervised_solver_for_backend(backend)
+        solver = SupervisedSolver()
     elif backend in ("compiled", "fused"):
         from repro.factorgraph.elimination import EliminationStats
         from repro.optim.compiled import CompiledSolver, \

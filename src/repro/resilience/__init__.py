@@ -30,9 +30,6 @@ from repro.resilience.supervisor import (
     CircuitBreaker,
     SupervisedSolver,
     SupervisorConfig,
-    active_supervision,
-    disable_supervision,
-    enable_supervision,
 )
 from repro.resilience.campaign import (
     CampaignConfig,
@@ -68,9 +65,6 @@ __all__ = [
     "CircuitBreaker",
     "SupervisedSolver",
     "SupervisorConfig",
-    "active_supervision",
-    "disable_supervision",
-    "enable_supervision",
     "evaluate_gates",
     "run_chaos",
     "DETECT_ONLY",

@@ -46,7 +46,7 @@ drives all of this with injected host-level faults.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,10 +77,6 @@ __all__ = [
     "RUNG_REFERENCE",
     "SupervisedSolver",
     "SupervisorConfig",
-    "active_supervision",
-    "disable_supervision",
-    "enable_supervision",
-    "ladder_for_backend",
     "verify_template_integrity",
 ]
 
@@ -171,17 +167,6 @@ class SupervisorConfig:
             "sentinel_rate": self.sentinel_rate,
             "ladder": list(self.ladder),
         }
-
-
-def ladder_for_backend(backend: str) -> Tuple[str, ...]:
-    """The fallback ladder whose top rung matches a solver backend."""
-    if backend in ("fused", "supervised"):
-        return DEFAULT_LADDER
-    if backend == "compiled":
-        return (RUNG_INTERPRETER, RUNG_REFERENCE)
-    if backend == "reference":
-        return (RUNG_REFERENCE,)
-    raise ValueError(f"no supervision ladder for backend {backend!r}")
 
 
 # ----------------------------------------------------------------------
@@ -336,10 +321,11 @@ class SupervisedSolver:
 
     A drop-in for :class:`~repro.optim.compiled.CompiledSolver` —
     ``solve(graph, values, ordering)`` returns the same update dict —
-    selected by ``backend="supervised"`` on the optimizer loops or the
-    ``--supervise`` CLI flag of ``python -m repro.eval``.  Every
-    compiled rung runs the program of :attr:`session`, the one solve
-    session this solver owns.
+    selected by ``backend="supervised"`` on the optimizer loops (with
+    the default :class:`SupervisorConfig`), or built directly with a
+    config of one's own, as the chaos campaign does.  Every compiled
+    rung runs the program of :attr:`session`, the one solve session
+    this solver owns.
 
     ``sleep`` is the backoff sleeper (injectable so tests and campaigns
     pay no real wall-clock for retries); ``injectors`` maps ladder rung
@@ -690,47 +676,3 @@ class _RungFailed(Exception):
         super().__init__(str(error))
         self.error = error
 
-
-# ----------------------------------------------------------------------
-# Process-wide supervision toggle (``python -m repro.eval --supervise``)
-# ----------------------------------------------------------------------
-
-_active_config: Optional[SupervisorConfig] = None
-
-
-def enable_supervision(config: Optional[SupervisorConfig] = None
-                       ) -> Optional[SupervisorConfig]:
-    """Supervise every optimizer solve in this process.
-
-    The optimizer loops consult this for any backend: a solve requested
-    as ``fused``/``compiled``/``reference`` runs through a
-    :class:`SupervisedSolver` whose ladder tops out at that backend.
-    Returns the previous configuration (for restoration).
-    """
-    global _active_config
-    previous = _active_config
-    _active_config = config if config is not None else SupervisorConfig()
-    return previous
-
-
-def disable_supervision() -> Optional[SupervisorConfig]:
-    global _active_config
-    previous = _active_config
-    _active_config = None
-    return previous
-
-
-def active_supervision() -> Optional[SupervisorConfig]:
-    return _active_config
-
-
-def supervised_solver_for_backend(backend: str,
-                                  config: Optional[SupervisorConfig] = None
-                                  ) -> SupervisedSolver:
-    """A solver whose ladder tops out at ``backend``'s executor."""
-    base = config if config is not None else \
-        (_active_config or SupervisorConfig())
-    ladder = ladder_for_backend(backend)
-    if base.ladder != ladder:
-        base = replace(base, ladder=ladder)
-    return SupervisedSolver(config=base)

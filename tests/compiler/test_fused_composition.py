@@ -2,14 +2,13 @@
 
 The fused executor is a drop-in :class:`Executor`; these tests pin the
 contracts that make it one when composed with the compilation cache
-(rebind never re-plans, in-place extension re-plans), the observability
-stack (vtrace byte-identical, wallclock per-group events), the run-loop
-hooks both backends share (profiler, tracer, deadline guard, injector,
-including under a supervised solve), and the process-wide backend
-selection switches.
+(rebind never re-plans, in-place extension re-plans), the value tracer
+(byte-identical traces), the run-loop hooks both backends share
+(tracer, deadline guard, injector, including under a supervised
+solve), and backend selection (``REPRO_EXECUTOR`` and per-solver
+names).
 """
 
-import contextlib
 import itertools
 import json
 import os
@@ -34,9 +33,8 @@ from repro.compiler.fused import (
     default_executor_name,
     executor_factory,
     plan_for,
-    set_default_executor,
 )
-from repro.obs import vtrace, wallclock
+from repro.obs import vtrace
 from repro.optim.compiled import CompiledSolver
 from repro.optim.safeguards import DeadlineGuard
 from repro.resilience.supervisor import (
@@ -52,14 +50,6 @@ from tests.diff.util import random_problem
 @pytest.fixture
 def problem():
     return random_problem(3, 31)
-
-
-@pytest.fixture(autouse=True)
-def _env_default_executor():
-    """Each test starts from env-controlled (interpreter) selection."""
-    previous = set_default_executor(None)
-    yield
-    set_default_executor(previous)
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +109,7 @@ class TestPlanReuseAcrossRebinds:
 
 
 # ----------------------------------------------------------------------
-# Observability: vtrace and wallclock compose
+# Observability: value traces agree across backends
 # ----------------------------------------------------------------------
 
 class TestTracingComposition:
@@ -133,40 +123,13 @@ class TestTracingComposition:
             FusedExecutor().run(compiled.program)
         assert path_interp.read_bytes() == path_fused.read_bytes()
 
-    def test_wallclock_records_per_group_events(self, problem):
-        compiled = default_cache().compile(*problem)
-        plan = plan_for(compiled.program)
-        with wallclock.profiled_scope() as profiler:
-            FusedExecutor().run(compiled.program)
-        snap = profiler.snapshot()
-        assert snap["programs"] == 1
-        # One call per instruction is still attributed (calls=member
-        # count per group event), so totals match the interpreter view.
-        assert snap["instructions"] == len(compiled.program.instructions)
-        assert snap["total_self_ns"] > 0
-        assert set(snap["by_opcode"]) == {
-            instr.op.value for instr in compiled.program.instructions
-        }
-        # But the number of timed events is the plan's dispatch count,
-        # not the instruction count — that is the fusion win.
-        assert plan.dispatch_count() < len(compiled.program.instructions)
-
-    def test_vtrace_and_wallclock_together(self, problem, tmp_path):
-        compiled = default_cache().compile(*problem)
-        path = tmp_path / "both.trace"
-        with wallclock.profiled_scope() as profiler:
-            with vtrace.recording_scope(str(path), ring_size=0):
-                FusedExecutor().run(compiled.program)
-        assert profiler.snapshot()["programs"] == 1
-        assert path.stat().st_size > 0
-
 
 # ----------------------------------------------------------------------
-# Run-loop hooks: profiler, tracer, guard and injector compose on both
-# backends, alone and together
+# Run-loop hooks: tracer, guard and injector compose on both backends,
+# alone and together
 # ----------------------------------------------------------------------
 
-HOOKS = ("profiler", "tracer", "guard", "injector")
+HOOKS = ("tracer", "guard", "injector")
 HOOK_SETS = [hooks for size in range(1, len(HOOKS) + 1)
              for hooks in itertools.combinations(HOOKS, size)]
 
@@ -191,55 +154,50 @@ class TestHookComposition:
         program = default_cache().compile(*problem).program
         count = len(program.instructions)
         plain = Executor().run(program)
-        seen = []
+        seen, steps = [], []
 
         def record(executor, program, indices):
             seen.extend(indices)
+            steps.append(indices)
 
         executor = backend(
             guard=DeadlineGuard(total_s=3600.0) if "guard" in hooks
             else None,
             injector=record if "injector" in hooks else None)
         path = tmp_path / "hooks.trace"
-        with contextlib.ExitStack() as stack:
-            if "profiler" in hooks:
-                profiler = stack.enter_context(wallclock.profiled_scope())
-            if "tracer" in hooks:
-                stack.enter_context(
-                    vtrace.recording_scope(path, ring_size=0))
+        if "tracer" in hooks:
+            with vtrace.recording_scope(path, ring_size=0):
+                registers = executor.run(program)
+        else:
             registers = executor.run(program)
         assert registers.keys() == plain.keys()
         for name, value in plain.items():
             assert bitwise_equal(registers[name], value), name
         if "injector" in hooks:
             assert sorted(seen) == list(range(count))
-        if "profiler" in hooks:
-            snap = profiler.snapshot()
-            assert snap["programs"] == 1
-            assert snap["instructions"] == count
+            # One step per fused dispatch, fewer than the instructions:
+            # that is the fusion win.
+            if backend is FusedExecutor:
+                assert len(steps) == plan_for(program).dispatch_count() \
+                    < count
         if "tracer" in hooks:
             records = instr_records(path)
             assert [r["uid"] for r in records] == \
                 [instr.uid for instr in program.instructions]
 
     @pytest.mark.parametrize("rung", [RUNG_FUSED, RUNG_INTERPRETER])
-    def test_supervised_solve_is_profiled_and_traced(self, rung, problem,
-                                                     tmp_path):
+    def test_supervised_solve_is_traced(self, rung, problem, tmp_path):
         """An armed deadline guard does not hide a supervised solve from
-        the profiler or the value tracer, on either rung."""
+        the value tracer, on either rung."""
         graph, values = problem
         solver = SupervisedSolver(config=SupervisorConfig(
             execute_deadline_s=3600.0, ladder=(rung,)))
         path = tmp_path / "supervised.trace"
-        with wallclock.profiled_scope() as profiler, \
-                vtrace.recording_scope(path, ring_size=0):
+        with vtrace.recording_scope(path, ring_size=0):
             solver.solve(graph, values)
         assert solver.last_report["rung"] == rung
         count = len(default_cache().compile(graph,
                                             values).program.instructions)
-        snap = profiler.snapshot()
-        assert snap["programs"] == 1
-        assert snap["instructions"] == count
         assert len(instr_records(path)) == count
 
     def test_crashing_fused_run_traces_completed_steps(self, problem,
@@ -265,7 +223,7 @@ class TestHookComposition:
 
 
 # ----------------------------------------------------------------------
-# Backend selection: env var / override / per-solver choice
+# Backend selection: env var / per-solver choice
 # ----------------------------------------------------------------------
 
 class TestBackendSelection:
@@ -283,17 +241,6 @@ class TestBackendSelection:
         monkeypatch.setenv(EXECUTOR_ENV, "fsued")
         with pytest.raises(ValueError, match="fsued"):
             default_executor_name()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "interpreter")
-        set_default_executor("fused")
-        assert executor_factory() is FusedExecutor
-        set_default_executor(None)
-        assert executor_factory() is Executor
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_default_executor("gpu")
 
     def test_solver_executor_name_validated(self):
         with pytest.raises(ValueError):

@@ -296,6 +296,53 @@ def test_chained_groups_consume_producer_slabs():
     assert_registers_match(program, interp, fused)
 
 
+@pytest.mark.parametrize("partner", ["rt", "copy"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_products_on_transposed_operands_bit_identical(d, partner):
+    """RV groups whose matrices are RT outputs of two producer steps.
+
+    The operands share no slab, so the group gathers them from the
+    register file.  An RT output is a transposed view, and BLAS rounds
+    a product on it differently than on a C-ordered copy: the gathered
+    stack must keep each member's layout.  With ``partner="copy"`` half
+    the matrices are C-ordered COPY outputs instead, which the planner
+    must batch apart from the transposed half.  Bitwise: no ulp escape.
+    """
+    rng = np.random.default_rng(d)
+    program = Program(algorithm="transposed")
+
+    def const(shape):
+        reg = program.new_register("c", shape)
+        program.emit(Opcode.CONST, [], [reg],
+                     meta={"value": rng.standard_normal(shape)})
+        return reg
+
+    def emit(op, srcs, shape, **meta):
+        dst = program.new_register("r", shape)
+        program.emit(op, srcs, [dst], meta=meta)
+        return dst
+
+    early = [emit(Opcode.RT, [const((d, d))], (d, d)) for _ in range(8)]
+    copies = [emit(Opcode.COPY, [const((d, d))], (d, d))
+              for _ in range(8)]
+    late = [emit(Opcode.RT if partner == "rt" else Opcode.COPY, [c],
+                 (d, d)) for c in copies]
+    vectors = [emit(Opcode.COPY, [emit(Opcode.VP, [const((d,)),
+                                                   const((d,))],
+                                       (d,), sign=1)], (d,))
+               for _ in range(8)]
+    products = []
+    for a, b, v in zip(early, late, vectors):
+        products.append(emit(Opcode.RV, [a, v], (d,)))
+        products.append(emit(Opcode.RV, [b, const((d,))], (d,)))
+    levels = program.levels()
+    assert len({levels[i.uid] for i in program.instructions
+                if i.op is Opcode.RV}) == 1
+    interp, fused = run_both(program)
+    for name in products:
+        assert np.array_equal(interp[name], fused[name]), name
+
+
 @pytest.mark.parametrize("structure_seed", range(8))
 def test_random_compiled_problems_bit_identical(structure_seed):
     """End-to-end fuzz over *compiled* random graphs: QR fronts, BSUB

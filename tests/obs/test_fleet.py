@@ -150,14 +150,6 @@ class TestFleetRegistry:
         with pytest.raises(ValueError):
             reg.incr("m", unit="seconds")
 
-    def test_gauge_overwrites(self):
-        reg = FleetRegistry()
-        reg.gauge("depth", 3)
-        reg.gauge("depth", 5)
-        (entry,) = reg.snapshot()["series"]
-        assert entry["kind"] == "gauge"
-        assert entry["value"] == 5.0
-
     def test_windows_roll_up_and_reset(self):
         reg = FleetRegistry()
         reg.incr("n")
@@ -186,6 +178,20 @@ class TestFleetRegistry:
         assert by_name["n"]["value"] == 3.0
         assert by_name["lat"]["sketch"]["count"] == 2
         assert [w["key"] for w in snap["windows"]] == ["bw"]
+
+    def test_merge_rejects_unknown_kind(self):
+        reg = FleetRegistry()
+        reg.incr("n")
+        before = reg.snapshot()
+        section = {"series": [
+            {"name": "n", "kind": "counter", "unit": "count",
+             "labels": {}, "value": 2.0},
+            {"name": "depth", "kind": "gauge", "unit": "count",
+             "labels": {}, "value": 3.0},
+        ]}
+        with pytest.raises(ValueError, match="'depth' has unknown kind"):
+            reg.merge(section)
+        assert reg.snapshot() == before
 
     def test_merged_registry_equals_single_registry(self):
         # Cross-process aggregation: two half snapshots merged into a
@@ -272,7 +278,6 @@ def populated_registry():
             reg.incr("fleet.solve.total", app=app, executor="fused")
             reg.observe("fleet.solve.latency_s", 0.002, app=app,
                         executor="fused")
-        reg.gauge("fleet.ladder.depth", 3)
         reg.advance_window("w0")
     return reg
 

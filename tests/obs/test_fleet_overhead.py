@@ -2,9 +2,8 @@
 
 ``CompiledSolver.solve`` and the supervisor consult
 :func:`repro.obs.fleet.active` once per solve; with the registry off
-that is a single module-global read, mirroring the
-``wallclock``/``vtrace`` hook contract pinned by
-``tests/compiler/test_executor_overhead.py``.
+that is a single module-global read, mirroring the ``vtrace`` hook
+contract pinned by ``tests/compiler/test_executor_overhead.py``.
 """
 
 import time

@@ -1,4 +1,4 @@
-"""Tests for the host hotspot renderer and the degradation guarantees.
+"""Tests for the host phase-timer renderer and the degradation guarantees.
 
 The second half pins the requirement that every document consumer
 (``profile``, ``bottleneck``, ``hotspots``) stays usable on **older**
@@ -8,57 +8,43 @@ exit 0, never a traceback.
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.compiler.executor import Executor
-from repro.compiler.isa import Opcode, Program
-from repro.obs import wallclock
 from repro.obs.__main__ import main as obs_main
 from repro.obs.hotspots import render_hotspots
 from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
 
 
-def profiled_snapshot():
-    program = Program()
-    a = program.new_register("a", (3,))
-    program.emit(Opcode.CONST, [], [a], meta={"value": np.ones(3)})
-    b = program.new_register("b", (3,))
-    program.emit(Opcode.COPY, [a], [b])
-    with wallclock.profiled_scope() as profiler:
-        Executor().run(program)
-    return profiler.drain()
-
-
-def metrics_with_wallclock():
+def metrics_with_phases():
     return {
         "schema": METRICS_SCHEMA, "meta": {},
         "experiments": [{
             "experiment": "F13", "elapsed_s": 1.0,
             "span_timings_s": {"simulate": 0.5, "codegen": 0.1},
             "counters": {}, "simulations": [],
-            "host_wallclock": profiled_snapshot(),
         }],
     }
 
 
 class TestRenderHotspots:
     def test_bench_document(self):
-        text = render_hotspots(metrics_with_wallclock())
-        assert "const" in text and "copy" in text
-        assert "opcode x stage" in text
+        text = render_hotspots({"schema": "repro.bench/1", "workloads": {}})
+        assert "no host.phase spans" in text
 
     def test_metrics_document(self):
-        text = render_hotspots(metrics_with_wallclock())
-        assert "const" in text
-        assert "simulate" in text   # host phase timers from spans
+        lines = render_hotspots(metrics_with_phases()).splitlines()
+        assert lines[0] == "host phase timers"
+        # Pipeline order, not document order: codegen before simulate.
+        assert [line.split()[0] for line in lines[2:]] == \
+            ["codegen", "simulate"]
+        assert "500.00 ms" in lines[3]
 
     def test_merges_profiles_across_entries(self):
-        document = metrics_with_wallclock()
+        document = metrics_with_phases()
         document["experiments"].append(
             dict(document["experiments"][0]))
         text = render_hotspots(document)
-        assert "2 programs" in text
+        assert "1000.00 ms" in text   # simulate: 0.5 s in each entry
 
     def test_unknown_schema_raises(self):
         with pytest.raises(ValueError, match="unsupported schema"):
@@ -66,7 +52,7 @@ class TestRenderHotspots:
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(metrics_with_wallclock()))
+        path.write_text(json.dumps(metrics_with_phases()))
         assert obs_main(["hotspots", str(path)]) == 0
         capsys.readouterr()
         bogus = tmp_path / "bogus.json"
@@ -76,14 +62,15 @@ class TestRenderHotspots:
 
     def test_cli_json_artifact(self, tmp_path):
         path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(metrics_with_wallclock()))
+        path.write_text(json.dumps(metrics_with_phases()))
         artifact = tmp_path / "hotspots.json"
         assert obs_main(["hotspots", str(path),
                          "--json", str(artifact)]) == 0
         payload = json.loads(artifact.read_text())
-        assert payload["schema"] == "repro.obs.hotspots/1"
-        assert set(payload["profile"]["by_opcode"]) == {"const", "copy"}
-        assert payload["phase_timings_s"]["simulate"] == 0.5
+        assert payload == {
+            "schema": "repro.obs.hotspots/1",
+            "phase_timings_s": {"simulate": 0.5, "codegen": 0.1},
+        }
 
 
 def old_bench(tmp_path):
@@ -97,7 +84,7 @@ def old_bench(tmp_path):
 
 
 def old_metrics(tmp_path):
-    """A pre-wallclock metrics document: no host_wallclock entries."""
+    """A metrics document without host.phase span timings."""
     path = tmp_path / "old_metrics.json"
     path.write_text(json.dumps({
         "schema": METRICS_SCHEMA, "meta": {},
@@ -111,14 +98,11 @@ def old_metrics(tmp_path):
 class TestOlderDocumentsDegradeGracefully:
     def test_hotspots_on_old_bench(self, tmp_path, capsys):
         assert obs_main(["hotspots", old_bench(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "no per-opcode profile recorded" in out
+        assert "no host.phase spans" in capsys.readouterr().out
 
     def test_hotspots_on_old_metrics(self, tmp_path, capsys):
         assert obs_main(["hotspots", old_metrics(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "no per-opcode profile recorded" in out
-        assert "no host.phase spans" in out
+        assert "no host.phase spans" in capsys.readouterr().out
 
     def test_bottleneck_on_old_bench(self, tmp_path, capsys):
         assert obs_main(["bottleneck", old_bench(tmp_path)]) == 0

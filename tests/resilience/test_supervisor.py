@@ -11,7 +11,8 @@ from repro.errors import (
     FaultInjectionError,
     ResilienceError,
 )
-from repro.factorgraph import FactorGraph, Isotropic, Values, X
+from repro.factorgraph import FactorGraph, Isotropic, Values, X, solve
+from repro.factorgraph.ordering import min_degree_ordering
 from repro.factors import BetweenFactor, PriorFactor
 from repro.geometry import Pose
 from repro.optim.compiled import CompiledSolver
@@ -25,10 +26,6 @@ from repro.resilience.supervisor import (
     RUNG_REFERENCE,
     SupervisedSolver,
     SupervisorConfig,
-    active_supervision,
-    disable_supervision,
-    enable_supervision,
-    ladder_for_backend,
     verify_template_integrity,
 )
 
@@ -127,16 +124,6 @@ class TestSupervisorConfig:
         with pytest.raises(ResilienceError):
             SupervisorConfig(sentinel_rate=1.5)
 
-    def test_ladder_for_backend(self):
-        assert ladder_for_backend("fused") == \
-            (RUNG_FUSED, RUNG_INTERPRETER, RUNG_REFERENCE)
-        assert ladder_for_backend("supervised") == \
-            (RUNG_FUSED, RUNG_INTERPRETER, RUNG_REFERENCE)
-        assert ladder_for_backend("compiled") == \
-            (RUNG_INTERPRETER, RUNG_REFERENCE)
-        assert ladder_for_backend("reference") == (RUNG_REFERENCE,)
-        with pytest.raises(ValueError):
-            ladder_for_backend("gpu")
 
 
 # ----------------------------------------------------------------------
@@ -144,13 +131,21 @@ class TestSupervisorConfig:
 # ----------------------------------------------------------------------
 
 class TestSupervisedSolver:
-    def test_no_faults_bit_identical_to_unsupervised(self, problem):
+    @pytest.mark.parametrize("rung", [RUNG_FUSED, RUNG_INTERPRETER,
+                                      RUNG_REFERENCE])
+    def test_no_faults_bit_identical_to_unsupervised(self, rung, problem):
         graph, values = problem
-        fused = CompiledSolver(executor="fused").solve(graph, values)
-        supervised = SupervisedSolver().solve(graph, values)
-        assert set(supervised) == set(fused)
-        for key in fused:
-            assert np.array_equal(supervised[key], fused[key])
+        if rung == RUNG_REFERENCE:
+            linear = graph.linearize(values)
+            plain, _ = solve(linear, min_degree_ordering(linear))
+        else:
+            plain = CompiledSolver(executor=rung).solve(graph, values)
+        solver = SupervisedSolver(config=SupervisorConfig(ladder=(rung,)))
+        supervised = solver.solve(graph, values)
+        assert solver.last_report["rung"] == rung
+        assert set(supervised) == set(plain)
+        for key in plain:
+            assert np.array_equal(supervised[key], plain[key])
 
     def test_transient_failure_recovers_via_retry(self, problem, golden):
         graph, values = problem
@@ -389,6 +384,7 @@ class TestOptimizerIntegration:
         graph, values = problem
         reference = gauss_newton(graph, values, backend="fused")
         supervised = gauss_newton(graph, values, backend="supervised")
+        assert reference.degradation_report is None
         assert supervised.converged == reference.converged
         for key in reference.values.keys():
             ref, sup = reference.values.at(key), supervised.values.at(key)
@@ -404,27 +400,6 @@ class TestOptimizerIntegration:
         result = levenberg_marquardt(graph, values, backend="supervised")
         assert result.converged
         assert result.degradation_report is not None
-
-    def test_enable_supervision_routes_any_backend(self, problem):
-        from repro.optim import gauss_newton
-
-        graph, values = problem
-        plain = gauss_newton(graph, values)
-        assert plain.degradation_report is None
-        previous = enable_supervision()
-        try:
-            assert active_supervision() is not None
-            supervised = gauss_newton(graph, values)
-        finally:
-            disable_supervision()
-            if previous is not None:  # pragma: no cover - hygiene
-                enable_supervision(previous)
-        assert active_supervision() is None
-        assert supervised.degradation_report is not None
-        for key in plain.values.keys():
-            ref, sup = plain.values.at(key), supervised.values.at(key)
-            assert np.array_equal(ref.phi, sup.phi)
-            assert np.array_equal(ref.t, sup.t)
 
     def test_simulation_result_renders_degradation_report(self):
         from repro.sim.stats import EnergyBreakdown, SimulationResult
