@@ -80,11 +80,6 @@ def phase_flops(program: Program) -> Dict[str, int]:
     return out
 
 
-def level_count(program: Program) -> int:
-    """Number of dependency levels (a proxy for kernel-launch batches)."""
-    return program.critical_path_length()
-
-
 def dense_qr_flops(rows: int, cols: int) -> int:
     """Householder QR of a dense rows x cols matrix (~2 n^2 (m - n/3))."""
     n = min(rows, cols)

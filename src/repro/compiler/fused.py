@@ -548,25 +548,6 @@ def _kernel_stack(axis: int, shapes: Tuple[Tuple[int, ...], ...],
     return kernel
 
 
-def _solve_upper(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(r, rhs, lower=False)``, exactly.
-
-    Replicates scipy's LAPACK dispatch bit-for-bit at a fraction of the
-    wrapper overhead: for C-ordered operands scipy solves the
-    transposed system (``trtrs`` wants Fortran order), so we must too —
-    the two trtrs code paths differ in reduction order and are *not*
-    mutually bit-identical.
-    """
-    if r.flags.f_contiguous:
-        x, info = dtrtrs(r, rhs, lower=0, trans=0, unitdiag=0)
-    else:
-        x, info = dtrtrs(r.T, rhs, lower=1, trans=1, unitdiag=0)
-    if info != 0:
-        raise ExecutionError(
-            f"trtrs failed during back substitution (info={info})")
-    return x
-
-
 def _kernel_bsub(frontal_dim: int, parents: Tuple[Tuple[int, int], ...]):
     """Batched back-substitution for one same-layout group.
 

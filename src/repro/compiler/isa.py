@@ -164,7 +164,8 @@ class StructureSlot:
     the instruction stream's shape, never on its numerics.
 
     ``plan`` is the fused plan (:func:`repro.compiler.fused.plan_for`)
-    and ``sim`` the simulator's per-uid tables
+    and ``sim`` the simulator's per-uid tables and its last few
+    fault-free outcomes per configuration
     (:meth:`repro.sim.engine.Simulator.run`); each owner fills its
     field on first use.  ``key`` is the structure key the slot was
     made for: :meth:`Program.structure_slot` refuses a program whose

@@ -84,11 +84,6 @@ def compose_unified() -> MacCount:
     return 2 * exp_so3() + matmul(3, 3, 3) + log_so3() + matvec(3, 3)
 
 
-def ominus_unified() -> MacCount:
-    """``(-)`` of Equ. 2: Log(R2^T R1) and R2^T (t1 - t2)."""
-    return 2 * exp_so3() + matmul(3, 3, 3) + log_so3() + matvec(3, 3)
-
-
 def between_error_unified() -> MacCount:
     """Equ. 4 error: e_o = Log(dR^T Rj^T Ri), e_p = dR^T(Rj^T(ti-tj)-dt)."""
     # Exp for Ri, Rj (the measurement rotation is cached), two 3x3 products,

@@ -26,7 +26,6 @@ from repro.compiler.isa import (
     Opcode,
     UNIT_BSUB,
     UNIT_MATMUL,
-    UNIT_NONE,
     UNIT_QR,
     UNIT_SPECIAL,
     UNIT_VECTOR,
@@ -222,10 +221,3 @@ DEFAULT_TEMPLATES: Dict[str, UnitTemplate] = {
 # the unit mix.
 INFRASTRUCTURE = Resources(lut=18_000, ff=22_000, bram=64, dsp=8)
 
-
-def unit_for_instruction(instr: Instruction) -> str:
-    """Unit class executing an instruction; CONSTs are free (preloaded)."""
-    unit = instr.unit
-    if unit == UNIT_NONE:
-        return UNIT_NONE
-    return unit

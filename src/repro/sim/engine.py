@@ -14,12 +14,20 @@ policies:
   overlap); used as an ablation lower bound.
 
 The paper's ORIANNA-IO corresponds to ``inorder``.
+
+A fault-free run's outcome depends only on the program's structure and
+the configuration, so the structure slot's tables keep the last few
+outcomes and replay them (see :class:`_StructureTables`): a frame whose
+structure the process has already simulated under the same config
+costs a copy, not a schedule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from collections import OrderedDict
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.compiler.isa import Opcode, Program, UNIT_NONE, UNIT_OF_OPCODE
@@ -55,10 +63,20 @@ class _StructureTables:
     Instance counts do not enter, so the hardware optimizer's greedy
     search, which only adds instances, reuses them across configs.
     Every list is indexed by uid and read-only once built.
+
+    ``outcomes`` keeps the raw state of the last :attr:`OUTCOMES`
+    fault-free runs (an LRU), keyed by everything else a run reads:
+    policy, issue width, unit counts, clock and buffer size
+    (:meth:`Simulator._recall`).  The outcomes belong to the costs they
+    were simulated with, so they are dropped whenever the latencies and
+    energies are recomputed.  An entry holds no program, so no frame's
+    values outlive the frame.
     """
 
+    OUTCOMES = 4
+
     __slots__ = ("instructions", "units", "deps", "templates",
-                 "latencies", "energies")
+                 "latencies", "energies", "outcomes")
 
     def __init__(self, program: Program):
         self.instructions = len(program.instructions)
@@ -67,6 +85,31 @@ class _StructureTables:
         self.templates: Optional[Dict[str, object]] = None
         self.latencies: List[int] = []
         self.energies: List[float] = []
+        self.outcomes: "OrderedDict[Tuple, _Outcome]" = OrderedDict()
+
+
+class _Outcome(NamedTuple):
+    """What one run computed: its result (with no schedule and no run
+    state) and the raw state the schedule and the analyses come from.
+    Kept in the memo, every part is read-only."""
+
+    result: SimulationResult
+    start: Dict[int, float]
+    finish: Dict[int, float]
+    tracker: WaitTracker
+
+
+def _copy_result(result: SimulationResult, **changes) -> SimulationResult:
+    """``result`` with ``changes`` applied and its own dicts and energy
+    breakdown, so a caller that mutates it leaves the memo intact."""
+    values = {f.name: getattr(result, f.name)
+              for f in dataclasses.fields(result)}
+    values.update(changes)
+    for name, value in values.items():
+        if isinstance(value, dict):
+            values[name] = dict(value)
+    values["energy"] = dataclasses.replace(values["energy"])
+    return SimulationResult(**values)
 
 
 class _RunState:
@@ -74,7 +117,8 @@ class _RunState:
 
     :class:`~repro.sim.stats.SimulationResult` calls each method at most
     once, when its attribute is first read; the lists come from the
-    structure slot and are never written.
+    structure slot, the times and the tracker may be a kept outcome's,
+    and none of them is ever written.
     """
 
     __slots__ = ("program", "latencies", "energies", "start", "finish",
@@ -137,6 +181,16 @@ class Simulator:
         attempts the value-domain executor recorded on the same plan.
         ``None`` (the default) simulates fault-free and is bit-identical
         to the pre-resilience engine.
+
+        A fault-free run whose structure and configuration the slot has
+        already simulated replays the kept outcome instead
+        (``sim.memo.hit``/``sim.memo.miss`` count both).  Every call
+        returns its own result, whose analyses are computed from
+        ``program`` on first read, and records one telemetry record
+        when observing.  Under ``obs.enable(debug=True)`` a replay is
+        checked against a fresh simulation and raises
+        :class:`SimulationError` on any difference.  A run with a
+        ``fault_plan`` never reads or writes the kept outcomes.
         """
         if policy not in POLICIES:
             raise SimulationError(
@@ -161,24 +215,97 @@ class Simulator:
             tables.latencies = self._latencies(program, tables.units)
             tables.energies = self._energies(program, tables.units)
             tables.templates = dict(templates)
+            tables.outcomes.clear()
         return tables
 
     def _run(self, program: Program, policy: str,
              record_schedule: bool, fault_plan) -> SimulationResult:
-        instructions = program.instructions
         tables = self._tables(program)
-        units = tables.units
-        deps = tables.deps
         latencies = tables.latencies
         energies = tables.energies
-        fault_counts: Dict[str, float] = {}
-        if fault_plan is not None:
+        if fault_plan is None:
+            outcome = self._recall(program, tables, policy)
+            result = _copy_result(
+                outcome.result,
+                unit_instance_counts=dict(self.config.unit_counts))
+        else:
             # apply_timing writes into the costs it receives; the
             # slot's tables are shared, so it gets copies.
             latencies = list(latencies)
             energies = list(energies)
             fault_counts = fault_plan.apply_timing(program, latencies,
                                                    energies)
+            outcome = self._simulate(program, tables, policy, latencies,
+                                     energies)
+            result = outcome.result
+            if fault_counts:
+                result.fault_counts = fault_counts
+                for kind, value in fault_counts.items():
+                    obs.counters.incr(f"resilience.sim.{kind}", value)
+        start, finish = outcome.start, outcome.finish
+        result.run_state = _RunState(program, latencies, energies, start,
+                                     finish, tables.deps, outcome.tracker)
+        if record_schedule or obs.is_enabled():
+            result.schedule = {uid: (start[uid], finish[uid])
+                               for uid in start}
+        if obs.is_enabled():
+            if obs.debug_enabled():
+                self._check_schedule_invariants(program, result, latencies)
+            obs.collector().record_sim(self._telemetry(program, result))
+        return result
+
+    def _recall(self, program: Program, tables: _StructureTables,
+                policy: str) -> _Outcome:
+        """The fault-free outcome of ``policy`` on this config: kept in
+        ``tables`` on its first simulation, replayed after."""
+        config = self.config
+        key = (policy, self.issue_width,
+               tuple(sorted(config.unit_counts.items())),
+               config.clock_mhz, config.buffer_kib)
+        memo = tables.outcomes
+        outcome = memo.get(key)
+        if outcome is None:
+            obs.counters.incr("sim.memo.miss")
+            outcome = memo[key] = self._simulate(
+                program, tables, policy, tables.latencies, tables.energies)
+            while len(memo) > tables.OUTCOMES:
+                memo.popitem(last=False)
+        else:
+            obs.counters.incr("sim.memo.hit")
+            memo.move_to_end(key)
+            if obs.debug_enabled():
+                self._recheck(program, tables, policy, outcome)
+        return outcome
+
+    def _recheck(self, program: Program, tables: _StructureTables,
+                 policy: str, kept: _Outcome) -> None:
+        """Debug mode's check of a replay: simulate afresh (no memo, no
+        telemetry, no analyses) and compare the raw run state."""
+        fresh = self._simulate(program, tables, policy, tables.latencies,
+                               tables.energies)
+        differs = [f.name for f in dataclasses.fields(kept.result)
+                   if getattr(kept.result, f.name) !=
+                   getattr(fresh.result, f.name)]
+        if (kept.start, kept.finish) != (fresh.start, fresh.finish):
+            differs.append("schedule")
+        for name in ("ready_time", "wait_causes", "gated_by",
+                     "depth_samples"):
+            if getattr(kept.tracker, name) != getattr(fresh.tracker, name):
+                differs.append(f"tracker.{name}")
+        if differs:
+            raise SimulationError(
+                f"kept {policy} outcome of {program.algorithm or 'program'!r}"
+                f" differs from a fresh simulation in {', '.join(differs)}"
+            )
+
+    def _simulate(self, program: Program, tables: _StructureTables,
+                  policy: str, latencies: List[int],
+                  energies: List[float]) -> _Outcome:
+        """One schedule of ``program``: the issue loop and the result's
+        totals, with no schedule map, run state or telemetry."""
+        instructions = program.instructions
+        units = tables.units
+        deps = tables.deps
 
         # Per-unit-class instance free times (min-heaps of ready-at times).
         unit_free: Dict[str, List[float]] = {
@@ -388,20 +515,7 @@ class Simulator:
         result = self._collect(program, policy, total_cycles, start, finish,
                                latencies, energies, busy_cycles, units)
         result.stall_counts = {k: v for k, v in stalls.items() if v}
-        if fault_counts:
-            result.fault_counts = fault_counts
-            for kind, value in fault_counts.items():
-                obs.counters.incr(f"resilience.sim.{kind}", value)
-        result.run_state = _RunState(program, latencies, energies, start,
-                                     finish, deps, tracker)
-        if record_schedule or obs.is_enabled():
-            result.schedule = {uid: (start[uid], finish[uid])
-                               for uid in start}
-        if obs.is_enabled():
-            if obs.debug_enabled():
-                self._check_schedule_invariants(program, result, latencies)
-            obs.collector().record_sim(self._telemetry(program, result))
-        return result
+        return _Outcome(result, start, finish, tracker)
 
     # ------------------------------------------------------------------
     def _issue_one(self, uid, instructions, latencies, unit_free, now,
