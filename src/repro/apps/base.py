@@ -18,6 +18,7 @@ from repro.apps.seeding import stable_seed
 from repro.errors import GraphError
 from repro.compiler import Program, compile_application, compile_graph
 from repro.factorgraph import FactorGraph, Values
+from repro.obs import trace
 
 GraphBuilder = Callable[[np.random.Generator], Tuple[FactorGraph, Values]]
 
@@ -72,8 +73,6 @@ class RoboticApplication:
                      algorithms: Optional[List[str]] = None
                      ) -> Dict[str, Tuple[FactorGraph, Values]]:
         """Build one solver iteration's graph for each algorithm."""
-        from repro.obs import trace
-
         names = algorithms or self.algorithm_names
         out = {}
         with trace.span("frame.build", category="host.phase",
@@ -133,17 +132,19 @@ class RoboticApplication:
         coarse-grained out-of-order execution interleaves these streams.
         """
         graphs: Dict[str, Tuple[FactorGraph, Values]] = {}
-        for name, repeats in self.frame_composition(base).items():
-            if name == PLANNING and not include_planning:
-                continue
-            if name == PLANNING:
-                repeats = max(repeats, 1)
-            for r in range(repeats):
-                rng = np.random.default_rng(
-                    stable_seed(self.name, name, seed, r)
-                )
-                label = name if repeats == 1 else f"{name}#{r}"
-                graphs[label] = self.spec(name).build(rng)
+        with trace.span("frame.build", category="host.phase",
+                        app=self.name):
+            for name, repeats in self.frame_composition(base).items():
+                if name == PLANNING and not include_planning:
+                    continue
+                if name == PLANNING:
+                    repeats = max(repeats, 1)
+                for r in range(repeats):
+                    rng = np.random.default_rng(
+                        stable_seed(self.name, name, seed, r)
+                    )
+                    label = name if repeats == 1 else f"{name}#{r}"
+                    graphs[label] = self.spec(name).build(rng)
         return compile_application(graphs)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -16,21 +16,20 @@ fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
   expression DAG, or the factor object itself for host-side EMBED.
 - On a cache hit, :func:`rebind` re-evaluates only those specs against
   the new ``(graph, values)`` pair — no codegen, no ordering search, no
-  QR layout computation.
+  QR layout computation — and shares every value-free instruction.
 - A cached structure keeps one template per stream *name* (the label
   that is both a stream's algorithm tag and its register prefix, e.g.
   ``control#3``).  The structure's first name compiles cold; a new name
-  is renamed from that template once and stored; every other hit is an
-  identity rebind from the name's own template, which shares every
-  value-free instruction with it.
+  is renamed from that template once and stored.
 - Work that depends only on structure is shared through structure
-  slots (:class:`~repro.compiler.isa.StructureSlot`): every program the
-  cache returns is keyed by its stream key ``(entry identity, name)``
-  and shares the slot of the template it was rebound from, and the
-  cache keeps one slot per frame structure (the tuple of its streams'
-  keys) for :func:`~repro.compiler.codegen.compile_application`.  So
-  the fused plan and the simulator's tables are built once per frame
-  structure, not once per frame.
+  slots (:class:`~repro.compiler.isa.StructureSlot`).  Every stream
+  program is keyed by its stream key ``(entry identity, name)``, and a
+  frame (:meth:`CompilationCache.compile`) by the tuple of its streams'
+  keys, so the fused plan and the simulator's tables are built once per
+  frame structure.  The frame slot also keeps the structure's first
+  merged frame as a template: a later frame whose streams all hit is
+  that template rebound in one pass, with no per-stream program and no
+  :meth:`~repro.compiler.isa.Program.extend`.
 
 Only frames (:func:`~repro.compiler.codegen.compile_application`) use
 the cache.  Optimizer solves, supervised ones included, refresh one
@@ -266,7 +265,7 @@ def graph_structure(graph: FactorGraph, values: Values,
 
 
 # ----------------------------------------------------------------------
-# Rebinding: fresh numerics (and register namespace) on a template
+# Rebinding: fresh numerics on a template; renaming a stream template
 # ----------------------------------------------------------------------
 
 def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
@@ -288,100 +287,100 @@ def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
     raise CompileError(f"cannot resolve binding spec {spec!r}")
 
 
-def rebind(template, graph: FactorGraph, values: Values,
-           structure: GraphStructure, name: str):
-    """A template compilation re-bound to new numerics under stream ``name``.
+def rebind(template: Program,
+           streams: Dict[str, Tuple[FactorGraph, Values, GraphStructure]]
+           ) -> Program:
+    """``template`` re-bound to new numerics in one pass.
 
-    Returns a new :class:`~repro.compiler.codegen.CompiledGraph` whose
-    instruction stream is identical to a cold compile of ``(graph,
-    values)`` with ``name`` as its algorithm and register prefix.  The
-    template's own name is its program's ``algorithm``.  Under that name
-    the value-free instructions are shared with the template
-    (instructions are immutable after emission) and only CONST/EMBED
-    instructions are cloned with freshly resolved numerics; under a new
-    name every instruction is cloned into the renamed namespace.
+    ``template`` is a cached stream's program or a frame's merged
+    program, and ``streams`` maps each stream name in it to the new
+    ``(graph, values, structure)``.  Only the value sites (EMBEDs, and
+    CONSTs whose binding spec is not static) are cloned, each resolved
+    from the stream its ``algorithm`` label names; every other
+    instruction object is shared, since instructions are immutable
+    after emission and their uids are final.  The result has the
+    template's structure, so it shares the template's key and slot,
+    which also keeps the sites' positions.
     """
+    slot = template.structure_slot()
+    if slot.value_sites is None:
+        slot.value_sites = [
+            index for index, instr in enumerate(template.instructions)
+            if instr.op is Opcode.EMBED or (
+                instr.op is Opcode.CONST
+                and (instr.meta.get("binding") or (BIND_STATIC,))[0]
+                != BIND_STATIC)]
+    program = Program(algorithm=template.algorithm)
+    program.structure_key = template.structure_key
+    program.attach_slot(slot)
+    program._counter = template._counter
+    program._reg_counter = template._reg_counter
+    program.register_shapes = dict(template.register_shapes)
+    out = program.instructions = list(template.instructions)
+    resolved: Dict[str, Tuple] = {}
+    for index in slot.value_sites:
+        instr = out[index]
+        name = instr.algorithm
+        stream = resolved.get(name)
+        if stream is None:
+            graph, values, structure = streams[name]
+            stream = resolved[name] = (graph, graph.factors, values,
+                                       structure)
+        graph, factors, values, structure = stream
+        meta = dict(instr.meta)
+        spec = meta["binding"]
+        if instr.op is Opcode.EMBED:
+            meta["factor"] = factors[spec[1]]
+            meta["values"] = values
+        else:
+            meta["value"] = np.asarray(
+                _binding_value(spec, graph, values, structure), dtype=float)
+        out[index] = Instruction(
+            uid=instr.uid,
+            op=instr.op,
+            srcs=instr.srcs,
+            dsts=instr.dsts,
+            meta=meta,
+            phase=instr.phase,
+            algorithm=name,
+            provenance=instr.provenance,
+        )
+    return program
+
+
+def _rename(template, name: str):
+    """A stream template (a ``CompiledGraph``) cloned into the register
+    namespace and algorithm ``name``, its values unchanged: once
+    :func:`rebind` refreshes them, a cold compile under ``name``."""
     from repro.compiler.codegen import CompiledGraph, RowBlock
 
-    template_name = template.program.algorithm
-    rmap = None if name == template_name else _build_rename_map(
-        template.program.register_shapes, template_name, name)
-
+    old = template.program
+    rmap = _build_rename_map(old.register_shapes, old.algorithm, name)
     program = Program(algorithm=name)
-    program._counter = template.program._counter
-    program._reg_counter = template.program._reg_counter
-    if rmap is None:
-        program.register_shapes = dict(template.program.register_shapes)
-    else:
-        program.register_shapes = {
-            rmap[reg]: shape
-            for reg, shape in template.program.register_shapes.items()
-        }
-
-    out = program.instructions
-    for instr in template.program.instructions:
-        spec = instr.meta.get("binding")
-        op = instr.op
-        fresh_value = (
-            (op is Opcode.CONST and spec is not None
-             and spec[0] != BIND_STATIC)
-            or op is Opcode.EMBED
-        )
-        if rmap is None and not fresh_value:
-            out.append(instr)
-            continue
-
+    program._counter, program._reg_counter = old._counter, old._reg_counter
+    program.register_shapes = {rmap[reg]: shape
+                               for reg, shape in old.register_shapes.items()}
+    for instr in old.instructions:
         meta = instr.meta
-        if fresh_value or (rmap is not None and op is Opcode.QR):
-            meta = dict(meta)
-        if fresh_value:
-            if op is Opcode.EMBED:
-                fid = spec[1] if spec is not None else None
-                if fid is None:
-                    raise CompileError(
-                        "EMBED instruction lacks a binding spec; template "
-                        "was not compiled with binding tracking"
-                    )
-                meta["factor"] = graph.factors[fid]
-                meta["values"] = values
-            else:
-                meta["value"] = np.asarray(
-                    _binding_value(spec, graph, values, structure),
-                    dtype=float,
-                )
-        if rmap is not None and op is Opcode.QR:
-            meta["sources"] = [
-                {**source, "reg": rmap[source["reg"]]}
-                for source in meta["sources"]
-            ]
-
-        out.append(Instruction(
+        if instr.op is Opcode.QR:
+            meta = dict(meta, sources=[{**source, "reg": rmap[source["reg"]]}
+                                       for source in meta["sources"]])
+        program.instructions.append(Instruction(
             uid=instr.uid,
-            op=op,
-            srcs=[rmap[s] for s in instr.srcs] if rmap else list(instr.srcs),
-            dsts=[rmap[d] for d in instr.dsts] if rmap else list(instr.dsts),
+            op=instr.op,
+            srcs=[rmap[s] for s in instr.srcs],
+            dsts=[rmap[d] for d in instr.dsts],
             meta=meta,
             phase=instr.phase,
             algorithm=name,
             provenance=instr.provenance,
         ))
-
-    if rmap is None:
-        row_blocks = list(template.row_blocks)
-        solution = dict(template.solution_registers)
-    else:
-        row_blocks = [RowBlock(rmap[b.reg], b.rows, dict(b.cols))
-                      for b in template.row_blocks]
-        solution = {k: rmap[reg]
-                    for k, reg in template.solution_registers.items()}
-
     return CompiledGraph(
-        program=program,
-        row_blocks=row_blocks,
-        solution_registers=solution,
-        key_dims=dict(template.key_dims),
-        ordering=list(template.ordering),
-    )
+        program,
+        [RowBlock(rmap[b.reg], b.rows, dict(b.cols))
+         for b in template.row_blocks],
+        {k: rmap[reg] for k, reg in template.solution_registers.items()},
+        dict(template.key_dims), list(template.ordering))
 
 
 # ----------------------------------------------------------------------
@@ -392,12 +391,12 @@ class CompilationCache:
     """LRU cache of compiled templates keyed by structural key, plus the
     structure slots of the frames merged from them.
 
-    Every program :meth:`compile` returns is keyed by its *stream key*
-    ``(entry identity, name)`` and shares the structure slot of the
-    template it was rebound from.  A frame merged from such streams is
-    keyed by the tuple of their stream keys and shares a slot kept here
-    (:meth:`attach_frame_slot`), so every frame with the same streams
-    plans and tabulates once.  :meth:`clear` drops both.
+    Every stream program is keyed by its *stream key* ``(entry
+    identity, name)`` and shares the structure slot of the template it
+    was rebound from.  A frame is keyed by the tuple of its stream keys
+    and shares a slot kept here (:meth:`attach_frame_slot`), so every
+    frame with the same streams plans and tabulates once and is rebound
+    from the slot's frame template.  :meth:`clear` drops both.
     """
 
     # Structures whose templates are kept (least recently used goes
@@ -405,9 +404,9 @@ class CompilationCache:
     # brings a new one every frame.
     MAX_ENTRIES = 64
     # Frame structures whose slots are kept (least recently used goes
-    # first).  A slot holds a fused plan and simulator tables of ~1 MB,
-    # and a frame whose structure changes with its data (Quadrotor)
-    # brings a new one every frame, so the store stays small.
+    # first).  A slot holds a fused plan, simulator tables and a frame
+    # template of up to ~1 MB each, and Quadrotor brings a new structure
+    # every frame, so the store stays small.
     FRAME_SLOTS = 4
 
     def __init__(self):
@@ -430,9 +429,10 @@ class CompilationCache:
         return {"hits": self.hits, "misses": self.misses,
                 "entries": len(self._entries)}
 
-    def attach_frame_slot(self, program: Program, key: Tuple) -> None:
-        """Key a merged frame ``program`` and attach the slot every frame
-        with the same stream keys shares."""
+    def attach_frame_slot(self, program: Program,
+                          key: Tuple) -> StructureSlot:
+        """Key a merged frame ``program`` and attach (and return) the
+        slot every frame with the same stream keys shares."""
         slots = self._frame_slots
         slot = slots.get(key)
         if slot is None:
@@ -443,47 +443,101 @@ class CompilationCache:
             slots.move_to_end(key)
         program.structure_key = key
         program.attach_slot(slot)
+        return slot
 
-    def compile(self, graph: FactorGraph, values: Values, name: str = ""):
-        """Compile stream ``name`` (its algorithm tag and register prefix)
-        with caching: cold compile on a miss, rebind on a hit."""
+    def compile(self, streams: Dict[str, Tuple[FactorGraph, Values]]
+                ) -> Program:
+        """Compile a frame: ``streams`` maps each stream's name (its
+        algorithm tag and register prefix) to its ``(graph, values)``.
+
+        When every stream hits and the frame's slot holds a template,
+        the frame is that template rebound in one pass.  Otherwise each
+        stream compiles cold or is rebound from its name's template, the
+        streams are merged in order with :meth:`Program.extend`, and the
+        merged program becomes the slot's template.
+        """
+        found = []
+        for name, (graph, values) in streams.items():
+            structure = graph_structure(graph, values)
+            found.append((name, graph, values, structure,
+                          *self._lookup(structure, graph, values, name)))
+        key = tuple((entry.identity, name)
+                    for name, _, _, _, entry, _ in found)
+        slot = self._frame_slots.get(key)
+        template = None if slot is None else slot.template
+        if template is None:
+            program = Program(algorithm="application")
+            for name, graph, values, structure, entry, cold in found:
+                program.extend((cold or self._rebind_stream(
+                    entry, structure, graph, values, name)).program)
+        elif template.structure_key != key:
+            raise CompileError(
+                f"structure slot mismatch: a frame template of "
+                f"{len(template.instructions)} instructions is keyed for "
+                f"other streams than the frame it would serve"
+            )
+        else:
+            with trace.span("compiler.cache.rebind",
+                            category="compiler.pass",
+                            algorithm=template.algorithm):
+                program = rebind(template, {
+                    name: (graph, values, structure)
+                    for name, graph, values, structure, _, _ in found})
+        slot = self.attach_frame_slot(program, key)
+        if slot.template is None:
+            slot.template = program
+        return program
+
+    def compile_stream(self, graph: FactorGraph, values: Values,
+                       name: str = ""):
+        """Compile one stream ``name`` with caching: cold compile on a
+        miss, rebind on a hit."""
         structure = graph_structure(graph, values)
+        entry, cold = self._lookup(structure, graph, values, name)
+        return cold or self._rebind_stream(entry, structure, graph, values,
+                                           name)
+
+    def _lookup(self, structure: GraphStructure, graph: FactorGraph,
+                values: Values, name: str):
+        """``(entry, None)`` on a hit; on a miss the new entry and the
+        cold compile of stream ``name``."""
         entry = self._entries.get(structure.key)
-        if entry is None:
-            from repro.compiler.codegen import compile_graph
+        if entry is not None:
+            self._entries.move_to_end(structure.key)
+            self.hits += 1
+            counters.incr("compiler.cache.hit")
+            return entry, None
+        from repro.compiler.codegen import compile_graph
 
-            compiled = compile_graph(graph, values, algorithm=name,
-                                     register_prefix=name)
-            entry = CacheEntry({name: compiled})
-            self._entries[structure.key] = entry
-            while len(self._entries) > self.MAX_ENTRIES:
-                self._entries.popitem(last=False)
-            self.misses += 1
-            counters.incr("compiler.cache.miss")
-            compiled.program.structure_key = (entry.identity, name)
-            return compiled
+        compiled = compile_graph(graph, values, algorithm=name,
+                                 register_prefix=name)
+        entry = CacheEntry({name: compiled})
+        self._entries[structure.key] = entry
+        while len(self._entries) > self.MAX_ENTRIES:
+            self._entries.popitem(last=False)
+        self.misses += 1
+        counters.incr("compiler.cache.miss")
+        compiled.program.structure_key = (entry.identity, name)
+        return entry, compiled
 
-        self._entries.move_to_end(structure.key)
-        self.hits += 1
-        counters.incr("compiler.cache.hit")
+    def _rebind_stream(self, entry: CacheEntry, structure: GraphStructure,
+                       graph: FactorGraph, values: Values, name: str):
+        """Stream ``name`` rebound from its own template, which a new
+        name renames from the entry's first template once."""
+        from repro.compiler.codegen import CompiledGraph
+
         with trace.span("compiler.cache.rebind", category="compiler.pass",
                         algorithm=name):
             source = entry.templates.get(name)
             if source is None:
-                # A new name: rename the cold template once and keep the
-                # result as this name's template.
-                first = next(iter(entry.templates.values()))
-                rebound = source = entry.templates[name] = rebind(
-                    first, graph, values, structure, name)
-            else:
-                rebound = rebind(source, graph, values, structure, name)
-        program = rebound.program
-        program.structure_key = (entry.identity, name)
-        if rebound is not source:
-            # Same wiring as the template it was rebound from: same
-            # fused plan, same simulator tables.
-            program.attach_slot(source.program.structure_slot())
-        return rebound
+                source = entry.templates[name] = _rename(
+                    next(iter(entry.templates.values())), name)
+                source.program.structure_key = (entry.identity, name)
+            program = rebind(source.program,
+                             {name: (graph, values, structure)})
+        return CompiledGraph(program, list(source.row_blocks),
+                             dict(source.solution_registers),
+                             dict(source.key_dims), list(source.ordering))
 
 
 # ----------------------------------------------------------------------

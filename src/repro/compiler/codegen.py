@@ -447,27 +447,20 @@ def compile_application(algorithm_graphs: Dict[str, Tuple[FactorGraph, Values]]
     has no false dependencies between algorithms — this is precisely what
     enables the coarse-grained out-of-order execution of Sec. 6.3.
 
-    Every stream compiles through the process-wide structural
-    compilation cache (:mod:`repro.compiler.cache`) under its label,
-    which names both its algorithm and its register prefix:
-    same-structure streams (e.g. the repeated control solves of one
-    frame) compile once and rebind, instruction-identical to cold
-    compiles.  The merged program is keyed by its streams' keys and
-    shares one structure slot with every frame built from the same
-    streams, so the fused plan and the simulator's tables are built
-    once per frame structure.
+    The frame compiles through the process-wide structural compilation
+    cache (:meth:`repro.compiler.cache.CompilationCache.compile`), each
+    stream under its label, which names both its algorithm and its
+    register prefix.  The merged program is keyed by its streams' keys
+    and shares one structure slot with every frame built from the same
+    streams, so the fused plan and the simulator's tables are built once
+    per frame structure, and a frame whose streams all hit is rebound in
+    one pass from the slot's frame template.  Every frame is
+    instruction-identical to the cold compiles of its streams.
     """
     from repro.compiler.cache import default_cache
 
-    cache = default_cache()
     with trace.span("compile_application", category="compiler",
                     algorithms=len(algorithm_graphs)) as sp:
-        merged = Program(algorithm="application")
-        stream_keys = []
-        for name, (graph, values) in algorithm_graphs.items():
-            compiled = cache.compile(graph, values, name)
-            merged.extend(compiled.program)
-            stream_keys.append(compiled.program.structure_key)
-        cache.attach_frame_slot(merged, tuple(stream_keys))
+        merged = default_cache().compile(algorithm_graphs)
         sp.set(instructions_after=len(merged.instructions))
     return merged

@@ -886,8 +886,8 @@ def plan_for(program: Program) -> FusedPlan:
     Every frame with the same streams shares one slot
     (:func:`~repro.compiler.codegen.compile_application`), and so does
     every rebind of one cached stream
-    (:meth:`~repro.compiler.cache.CompilationCache.compile`): the first
-    fused run of any of them builds the plan for all.  A program
+    (:meth:`~repro.compiler.cache.CompilationCache.compile_stream`):
+    the first fused run of any of them builds the plan for all.  A program
     nobody keyed plans into a private slot.  Raises
     :class:`~repro.errors.CompileError` when the program's structure
     key differs from its slot's (:meth:`Program.structure_slot`).

@@ -167,18 +167,24 @@ class StructureSlot:
     and ``sim`` the simulator's per-uid tables and its last few
     fault-free outcomes per configuration
     (:meth:`repro.sim.engine.Simulator.run`); each owner fills its
-    field on first use.  ``key`` is the structure key the slot was
-    made for: :meth:`Program.structure_slot` refuses a program whose
-    own key differs, so a mis-shared slot fails loudly instead of
+    field on first use.  ``value_sites`` lists the positions
+    :func:`repro.compiler.cache.rebind` clones, and ``template`` is a
+    frame slot's first merged program, which the compilation cache
+    rebinds for every later frame of the structure.  ``key`` is the
+    structure key the slot was made for: :meth:`Program.structure_slot`
+    refuses a program whose own key differs (and the cache a template
+    keyed otherwise), so a mis-shared slot fails loudly instead of
     running another structure's plan.
     """
 
-    __slots__ = ("key", "plan", "sim")
+    __slots__ = ("key", "plan", "sim", "value_sites", "template")
 
     def __init__(self, key: Optional[Tuple] = None):
         self.key = key
         self.plan: Any = None
         self.sim: Any = None
+        self.value_sites: Optional[List[int]] = None
+        self.template: Optional["Program"] = None
 
 
 class Program:
@@ -401,7 +407,9 @@ class Program:
         (``srcs``/``dsts``/``meta``) are shared rather than copied; with
         ``uid`` and ``algorithm`` already final the instruction object
         itself is shared.  Passes that rewrite instructions always build
-        fresh clones, never mutate in place.
+        fresh clones, never mutate in place.  The compilation cache
+        merges a frame with it only for a structure it has no frame
+        template of yet.
 
         The extended program has a new structure, so it leaves its
         structure slot and loses its key.

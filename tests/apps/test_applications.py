@@ -130,6 +130,18 @@ class TestApplicationApi:
         with_planning = app.compile_frame(seed=0, include_planning=True)
         assert len(with_planning) > len(without)
 
+    def test_compile_frame_times_its_graph_builds(self):
+        """A frame's stream graphs are built under one ``frame.build``
+        host-phase span, closed before the frame compiles."""
+        from repro import obs
+
+        with obs.enabled_scope() as collector:
+            collector.drain()
+            manipulator().compile_frame(seed=0)
+            names = [span.name for span in collector.drain().spans]
+        assert names.count("frame.build") == 1
+        assert names.index("frame.build") < names.index("compile_application")
+
 
 class TestBuilders:
     def test_localization_graphs_solve(self):

@@ -53,8 +53,8 @@ class TestKeying:
         g2, v2 = chain(99)
         assert fingerprint(g1, v1) == fingerprint(g2, v2)
         cache = CompilationCache()
-        cache.compile(g1, v1)
-        cache.compile(g2, v2)
+        cache.compile_stream(g1, v1)
+        cache.compile_stream(g2, v2)
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_different_noise_sigma_same_structure_hits(self):
@@ -102,8 +102,8 @@ class TestRebind:
         g1, v1 = chain(0)
         g2, v2 = chain(42)
         cache = CompilationCache()
-        cache.compile(g1, v1)
-        rebound = cache.compile(g2, v2)
+        cache.compile_stream(g1, v1)
+        rebound = cache.compile_stream(g2, v2)
         cold = compile_graph(g2, v2)
         by_uid = {i.uid: i for i in cold.program.instructions}
         checked = 0
@@ -118,8 +118,8 @@ class TestRebind:
         g1, v1 = chain(0)
         g2, v2 = chain(7)
         cache = CompilationCache()
-        template = cache.compile(g1, v1)
-        rebound = cache.compile(g2, v2)
+        template = cache.compile_stream(g1, v1)
+        rebound = cache.compile_stream(g2, v2)
         tagged = 0
         for got, ref in zip(rebound.program.instructions,
                             template.program.instructions):
@@ -132,9 +132,9 @@ class TestRebind:
 
     def test_new_name_renamed_once_then_rebound_from_its_template(self):
         cache = CompilationCache()
-        cold = cache.compile(*chain(0), name="a")
-        renamed = cache.compile(*chain(1), name="b")
-        again = cache.compile(*chain(2), name="b")
+        cold = cache.compile_stream(*chain(0), name="a")
+        renamed = cache.compile_stream(*chain(1), name="b")
+        again = cache.compile_stream(*chain(2), name="b")
         # The rename clones every instruction; the next hit under the
         # same name rebinds the renamed template, sharing its value-free
         # instructions and cloning only the value-bearing ones.
@@ -150,8 +150,8 @@ class TestRebind:
         g1, v1 = chain(0, num_poses=5)
         g2, v2 = chain(3, num_poses=5)
         cache = CompilationCache()
-        template = cache.compile(g1, v1)
-        rebound = cache.compile(g2, v2)
+        template = cache.compile_stream(g1, v1)
+        rebound = cache.compile_stream(g2, v2)
         assert rebound.ordering == template.ordering
         assert rebound.ordering == compile_graph(g2, v2).ordering
 
@@ -162,15 +162,15 @@ class TestCachePolicy:
         cache = CompilationCache()
         problems = [chain(0, num_poses=n) for n in (2, 3, 4)]
         for g, v in problems:
-            cache.compile(g, v)
+            cache.compile_stream(g, v)
         assert len(cache) == 2
         # Oldest (2-pose) structure was evicted: compiling it again misses.
-        cache.compile(*problems[0])
+        cache.compile_stream(*problems[0])
         assert cache.stats()["misses"] == 4
 
     def test_clear_resets_stats(self):
         cache = CompilationCache()
-        cache.compile(*chain(0))
+        cache.compile_stream(*chain(0))
         cache.clear()
         assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
@@ -179,8 +179,8 @@ class TestCachePolicy:
         try:
             obs.collector().drain()
             cache = CompilationCache()
-            cache.compile(*chain(0))
-            cache.compile(*chain(5))
+            cache.compile_stream(*chain(0))
+            cache.compile_stream(*chain(5))
             snapshot = obs.collector().drain()
         finally:
             obs.disable()
@@ -240,9 +240,9 @@ class TestStructure:
             return g2, values
 
         cache = CompilationCache()
-        cache.compile(*slam(0))
+        cache.compile_stream(*slam(0))
         g, v = slam(9)
-        rebound = cache.compile(g, v)
+        rebound = cache.compile_stream(g, v)
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
         cold = compile_graph(g, v)
         embeds = [i for i in rebound.program.instructions

@@ -59,7 +59,7 @@ def problem():
 class TestPlanReuseAcrossRebinds:
     def test_rebound_programs_share_one_plan(self):
         cache = CompilationCache()
-        compiled = [cache.compile(*random_problem(3, seed))
+        compiled = [cache.compile_stream(*random_problem(3, seed))
                     for seed in (100, 101, 102)]
         assert cache.stats()["hits"] == 2
         plans = [plan_for(c.program) for c in compiled]
@@ -71,7 +71,7 @@ class TestPlanReuseAcrossRebinds:
         try:
             obs.collector().drain()
             for seed in (200, 201, 202, 203):
-                compiled = cache.compile(*random_problem(3, seed))
+                compiled = cache.compile_stream(*random_problem(3, seed))
                 FusedExecutor().run(compiled.program)
             snapshot = obs.collector().drain()
         finally:
@@ -83,8 +83,8 @@ class TestPlanReuseAcrossRebinds:
         """Same structure, different values: the plan is shared but the
         rebound CONST slabs (and their memoized stacks) are not."""
         cache = CompilationCache()
-        a = cache.compile(*random_problem(3, 300))
-        b = cache.compile(*random_problem(3, 301))
+        a = cache.compile_stream(*random_problem(3, 300))
+        b = cache.compile_stream(*random_problem(3, 301))
         sol_a = a.extract_solution(FusedExecutor().run(a.program))
         sol_b = b.extract_solution(FusedExecutor().run(b.program))
         ref_a = a.extract_solution(Executor().run(a.program))
@@ -114,7 +114,7 @@ class TestPlanReuseAcrossRebinds:
 
 class TestTracingComposition:
     def test_vtrace_byte_identical_across_executors(self, problem, tmp_path):
-        compiled = default_cache().compile(*problem)
+        compiled = default_cache().compile_stream(*problem)
         path_interp = tmp_path / "interp.trace"
         path_fused = tmp_path / "fused.trace"
         with vtrace.recording_scope(str(path_interp), ring_size=0):
@@ -151,7 +151,7 @@ class TestHookComposition:
     @pytest.mark.parametrize("backend", [Executor, FusedExecutor],
                              ids=["interpreter", "fused"])
     def test_hooks_compose(self, backend, hooks, problem, tmp_path):
-        program = default_cache().compile(*problem).program
+        program = default_cache().compile_stream(*problem).program
         count = len(program.instructions)
         plain = Executor().run(program)
         seen, steps = [], []
@@ -196,7 +196,7 @@ class TestHookComposition:
         with vtrace.recording_scope(path, ring_size=0):
             solver.solve(graph, values)
         assert solver.last_report["rung"] == rung
-        count = len(default_cache().compile(graph,
+        count = len(default_cache().compile_stream(graph,
                                             values).program.instructions)
         assert len(instr_records(path)) == count
 
@@ -204,7 +204,7 @@ class TestHookComposition:
                                                       tmp_path):
         from repro.errors import ExecutionError
 
-        program = default_cache().compile(*problem).program
+        program = default_cache().compile_stream(*problem).program
 
         def crash(executor, program, indices):
             raise ExecutionError("injected")

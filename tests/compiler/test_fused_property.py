@@ -353,7 +353,7 @@ def test_random_compiled_problems_bit_identical(structure_seed):
 
     graph, values = random_problem(structure_seed,
                                    structure_seed + 9000)
-    compiled = default_cache().compile(graph, values)
+    compiled = default_cache().compile_stream(graph, values)
     interp, fused = run_both(compiled.program)
     assert_registers_match(compiled.program, interp, fused)
 

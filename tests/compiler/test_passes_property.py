@@ -53,8 +53,8 @@ def test_rebind_then_optimize_matches_cold_then_optimize(structure_seed):
     graph, values = random_problem(structure_seed, structure_seed + 2)
 
     cache = CompilationCache()
-    cache.compile(prime_graph, prime_values)
-    rebound = cache.compile(graph, values).optimized()
+    cache.compile_stream(prime_graph, prime_values)
+    rebound = cache.compile_stream(graph, values).optimized()
     cold = compile_graph(graph, values).optimized()
 
     assert len(rebound.program.instructions) \

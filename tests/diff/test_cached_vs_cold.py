@@ -9,8 +9,9 @@ solution as the reference solver.
 
 The same holds for real frames: every application's merged frame equals
 the cold compiles of its streams joined in frame order, from the first
-frame (cold compiles and one-time renames) to steady state (identity
-rebinds), and steady-state frames never rename a template.
+frame (cold compiles and one-time renames) to steady state (the frame
+template rebound in one pass), and steady-state frames never rename a
+template.
 
 Tier-1 runs a small seed subset; the ``slow`` marker covers 60 seeds
 (the acceptance sweep).
@@ -49,13 +50,13 @@ def check_seed(structure_seed):
     graph_b, values_b = random_problem(structure_seed, structure_seed + 2000)
 
     cache = CompilationCache()
-    cache.compile(graph_a, values_a, "gn#0")
+    cache.compile_stream(graph_a, values_a, "gn#0")
 
     # Same name -> value-only rebind; a new name twice -> renamed once
     # into that name's template, then rebound from it.
     targets = ["gn#0", "gn#1", "gn#1", "ctl#2"]
     for name in targets:
-        rebound = cache.compile(graph_b, values_b, name)
+        rebound = cache.compile_stream(graph_b, values_b, name)
         cold = compile_graph(graph_b, values_b, algorithm=name,
                              register_prefix=name)
         assert_streams_equal(rebound.program, cold.program)
@@ -128,8 +129,9 @@ def cold_merge(algorithm_graphs):
 @pytest.mark.parametrize("app_name", APPS)
 def test_frames_equal_cold_merge(monkeypatch, fresh_cache, app_name):
     """Seed 0 compiles each structure's first stream cold and renames
-    the other control streams once; later seeds rebind each stream from
-    its own template."""
+    the other control streams once; later seeds are the frame template
+    rebound in one pass, except Quadrotor's new structures, which
+    rebind each hit stream from its own template."""
     app = app_named(app_name)
     frames = capture_streams(monkeypatch)
     for seed in range(4):

@@ -59,7 +59,7 @@ EDGE_SE2 0 3 2.8 1.0 1.6 50 0 0 50 0 200
 
 
 def check_oracles(graph, values, atol=1e-8):
-    compiled = default_cache().compile(graph, values)
+    compiled = default_cache().compile_stream(graph, values)
     registers = Executor().run(compiled.program)
     executed = compiled.extract_solution(registers)
 

@@ -169,7 +169,10 @@ def test_mutating_a_result_leaves_the_next_hit_unchanged(program):
 
 
 def test_entries_hold_no_program(fresh_cache):
-    program = app_named("Manipulator").compile_frame(0)
+    # The slot keeps its structure's first frame as the frame template,
+    # so the frame dropped here is the second one.
+    app_named("Manipulator").compile_frame(0)
+    program = app_named("Manipulator").compile_frame(1)
     result = Simulator(ORIANNA_CONFIG).run(program)
     slot = program.structure_slot()
     dropped = weakref.ref(program)
