@@ -113,7 +113,7 @@ class GraphStructure:
             from repro.compiler.library import factor_expression
             from repro.compiler.modfg import MoDFG
 
-            components = factor_expression(self._graph.factors[factor_id])
+            components = factor_expression(self._graph.factor(factor_id))
             if components is None:
                 raise CompileError(
                     f"factor {factor_id} has no expression DAG"
@@ -278,7 +278,7 @@ def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
     if kind == BIND_VECTOR:
         return values.vector(spec[1])
     if kind == BIND_NOISE:
-        return graph.factors[spec[1]].noise.sqrt_information
+        return graph.factor(spec[1]).noise.sqrt_information
     if kind == BIND_EXPR:
         from repro.compiler.modfg import GenMatVec
 
@@ -317,20 +317,14 @@ def rebind(template: Program,
     program._reg_counter = template._reg_counter
     program.register_shapes = dict(template.register_shapes)
     out = program.instructions = list(template.instructions)
-    resolved: Dict[str, Tuple] = {}
     for index in slot.value_sites:
         instr = out[index]
         name = instr.algorithm
-        stream = resolved.get(name)
-        if stream is None:
-            graph, values, structure = streams[name]
-            stream = resolved[name] = (graph, graph.factors, values,
-                                       structure)
-        graph, factors, values, structure = stream
+        graph, values, structure = streams[name]
         meta = dict(instr.meta)
         spec = meta["binding"]
         if instr.op is Opcode.EMBED:
-            meta["factor"] = factors[spec[1]]
+            meta["factor"] = graph.factor(spec[1])
             meta["values"] = values
         else:
             meta["value"] = np.asarray(

@@ -11,7 +11,7 @@ match the factors' analytic ones.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Generator, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -25,8 +25,9 @@ from repro.obs.core import is_enabled as _obs_enabled
 # A run-loop injector: called as ``injector(executor, program, indices)``
 # after each step with the instruction indices the step just executed
 # (one for the interpreter, a whole group for the fused backend).  It
-# may raise, rewrite registers, or sleep.
-Injector = Callable[["Executor", Program, Sequence[int]], None]
+# may raise, sleep, rewrite or drop the step's registers (later steps
+# read them), or return an earlier step's number to resume from there.
+Injector = Callable[["Executor", Program, Sequence[int]], Optional[int]]
 
 
 class Executor:
@@ -50,12 +51,14 @@ class Executor:
             self.execute(instr)
         return self.registers
 
-    def _steps(self, program: Program) -> Iterable[Sequence[int]]:
-        """Interpreter steps: one instruction each, in program order."""
-        execute = self.execute
-        for index, instr in enumerate(program.instructions):
-            execute(instr)
-            yield (index,)
+    def _steps(self, program: Program) -> Generator:
+        """Interpreter steps: step ``k`` is instruction ``k``."""
+        execute, instructions = self.execute, program.instructions
+        index = 0
+        while index < len(instructions):
+            execute(instructions[index])
+            resume = yield (index,)
+            index = index + 1 if resume is None else resume
 
     def _hooked(self) -> bool:
         """Whether any run-loop hook is installed: the guard, the
@@ -67,17 +70,18 @@ class Executor:
         return (self.guard is not None or self.injector is not None
                 or vtrace.active() is not None)
 
-    def _dispatch(self, program: Program, steps: Iterable[Sequence[int]],
+    def _dispatch(self, program: Program, steps: Generator,
                   total: int) -> Dict[str, np.ndarray]:
         """The hooked run loop every backend shares.
 
         ``steps`` executes one step per iteration and yields the
         instruction indices it covered.  After each step the injector
-        and then the deadline guard run.  The value tracer replays
-        program-order digests of the completed steps after the loop, inside
-        ``finally``, so a crashing run still writes its record prefix
-        and ``end`` footer.  SSA registers are written exactly once, so
-        the replay sees the values each instruction produced.
+        and then the deadline guard run; a step number the injector
+        returns is sent into ``steps``, which resumes there.  The value
+        tracer replays program-order digests of the executed
+        instructions after the loop, inside ``finally``, so a crashing
+        run still writes its record prefix and ``end`` footer; each
+        instruction is recorded once, with its final value.
         """
         tracer = vtrace.active()
         guard, injector = self.guard, self.injector
@@ -86,16 +90,18 @@ class Executor:
         if tracer is not None:
             tracer.begin_program(program)
         try:
-            for indices in steps:
+            indices = next(steps, None)
+            while indices is not None:
                 done.append(indices)
-                if injector is not None:
-                    injector(self, program, indices)
+                resume = injector(self, program, indices) if injector else None
                 if guard is not None:
                     guard.check(partial={"steps": len(done),
                                          "total_steps": total})
+                indices = next(steps, None) if resume is None \
+                    else steps.send(resume)
         finally:
             if tracer is not None:
-                for index in sorted(chain.from_iterable(done)):
+                for index in sorted(set(chain.from_iterable(done))):
                     tracer.record_instruction(instructions[index],
                                               self.registers)
                 tracer.end_program()
@@ -316,4 +322,7 @@ class Executor:
                 "singular conditional in back substitution (variable "
                 "under-determined)"
             )
-        self._write(instr, solve_triangular(r, rhs, lower=False))
+        # A non-finite operand propagates, as in the fused ``trtrs``
+        # kernel, instead of raising scipy's ValueError.
+        self._write(instr, solve_triangular(r, rhs, lower=False,
+                                            check_finite=False))

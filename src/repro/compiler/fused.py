@@ -1,11 +1,11 @@
 """Fused vectorized execution backend for ORIANNA programs.
 
 The functional :class:`~repro.compiler.executor.Executor` interprets
-MO-ISA instructions one at a time in pure Python.  The
-``python -m repro.obs fuse-report`` analyzer measured that on every
-application >95% of instructions sit in independent same-opcode groups
-of >= 4 per dependency level; this module is the backend that cashes
-that in:
+MO-ISA instructions one at a time in pure Python.  On every
+application most instructions sit in independent same-opcode groups
+per dependency level; this module executes each such group as one
+block op (``tests/compiler/test_fused_dispatch_counts.py`` pins the
+resulting dispatch counts):
 
 - :func:`build_plan` lowers a compiled program **once** into a
   :class:`FusedPlan`: the def-use DAG is level-ized with
@@ -54,7 +54,7 @@ that in:
 :class:`FusedExecutor` is a drop-in :class:`Executor`: ``run(program)``
 returns the same register file and runs the same hooks (value tracer,
 injector, deadline guard) through the shared dispatch loop, with one
-step per fused group.
+step per fused group (:meth:`FusedPlan.iter_steps`).
 
 Backend selection: ``backend="fused"`` on the optimizer loops,
 ``CompiledSolver(executor=...)``, or the ``REPRO_EXECUTOR`` environment
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import os
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -259,14 +259,12 @@ class _BatchStep:
     accounting and instrumentation.
     """
 
-    __slots__ = ("op", "level", "indices", "gathers", "dsts", "kernel",
-                 "port")
+    __slots__ = ("op", "indices", "gathers", "dsts", "kernel", "port")
 
-    def __init__(self, op: Opcode, level: int, indices: List[int],
+    def __init__(self, op: Opcode, indices: List[int],
                  gathers: List[Any], dsts: List[str], kernel: Callable,
                  port: int):
         self.op = op
-        self.level = level
         self.indices = indices
         self.gathers = gathers
         self.dsts = dsts
@@ -276,10 +274,6 @@ class _BatchStep:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def batched(self) -> bool:
-        return True
 
     def execute(self, executor: Executor, program: Program,
                 slabs: List[Any]) -> None:
@@ -299,18 +293,17 @@ class _QRStep:
     interpreter's per-front reduced QR, which discards Q anyway.
     """
 
-    __slots__ = ("op", "level", "indices", "gathers", "rows", "cols",
+    __slots__ = ("op", "indices", "gathers", "rows", "cols",
                  "copies", "rhs_copies", "frontal_dim", "marginal_rows",
                  "cond_dsts", "marg_dsts", "port", "marg_port",
                  "mn", "lower_mask")
 
-    def __init__(self, level: int, indices: List[int],
+    def __init__(self, indices: List[int],
                  members: List[Instruction], gathers: List[Any],
                  port: int, marg_port: int):
         first = members[0]
         meta = first.meta
         self.op = Opcode.QR
-        self.level = level
         self.indices = indices
         self.gathers = gathers
         self.port = port
@@ -346,10 +339,6 @@ class _QRStep:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def batched(self) -> bool:
-        return True
 
     def execute(self, executor: Executor, program: Program,
                 slabs: List[Any]) -> None:
@@ -403,21 +392,16 @@ class _FallbackStep:
     so value-bearing EMBED sites pick up the rebound factor/values.
     """
 
-    __slots__ = ("op", "level", "indices", "handler_name")
+    __slots__ = ("op", "indices", "handler_name")
 
-    def __init__(self, op: Opcode, level: int, indices: List[int]):
+    def __init__(self, op: Opcode, indices: List[int]):
         self.op = op
-        self.level = level
         self.indices = indices
         self.handler_name = f"_op_{op.value}"
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def batched(self) -> bool:
-        return False
 
     def execute(self, executor: Executor, program: Program,
                 slabs: List[Any]) -> None:
@@ -642,53 +626,25 @@ class FusedPlan:
     """
 
     __slots__ = ("instructions", "const_sites", "const_ports", "steps",
-                 "ports", "label")
+                 "ports", "slab_rows")
 
     def __init__(self, instructions: int,
                  const_sites: List[Tuple[int, str]],
                  const_ports: List[Tuple[int, Tuple[str, ...]]],
-                 steps: List[Any], ports: int, label: str = ""):
+                 steps: List[Any], ports: int,
+                 slab_rows: Dict[str, Tuple[int, int]]):
         self.instructions = instructions
         self.const_sites = const_sites
         self.const_ports = const_ports
         self.steps = steps
         self.ports = ports
-        self.label = label
+        self.slab_rows = slab_rows  # step output register -> (port, row)
 
     # -- accounting ----------------------------------------------------
     def dispatch_count(self) -> int:
-        """Dispatches one execution performs: one per step, one for the
-        whole CONST preload slab (when any), mirroring the fuse-report
-        convention that constant loads are pure eliminable overhead."""
+        """Dispatches one execution performs: one per step, and one for
+        the whole CONST preload slab (when any)."""
         return len(self.steps) + (1 if self.const_sites else 0)
-
-    def group_sizes(self) -> Dict[Tuple[int, str], List[int]]:
-        """``(level, opcode) -> member counts`` over all plan steps.
-
-        CONST sites report as one level-0 group, matching the
-        fuse-report level-ization (CONST loads occupy level 0).
-        """
-        sizes: Dict[Tuple[int, str], List[int]] = {}
-        if self.const_sites:
-            sizes[(0, Opcode.CONST.value)] = [len(self.const_sites)]
-        for step in self.steps:
-            sizes.setdefault((step.level, step.op.value),
-                             []).append(step.size)
-        return sizes
-
-    def summary(self) -> Dict[str, Any]:
-        """Plain-data accounting for ``fuse-report --validate``."""
-        batched = sum(s.size for s in self.steps if s.batched)
-        return {
-            "label": self.label,
-            "instructions": self.instructions,
-            "dispatches": self.dispatch_count(),
-            "eliminated_dispatches":
-                self.instructions - self.dispatch_count(),
-            "batched_instructions": batched + len(self.const_sites),
-            "steps": len(self.steps),
-            "const_sites": len(self.const_sites),
-        }
 
     # -- execution -----------------------------------------------------
     def preload_constants(self, executor: Executor, program: Program,
@@ -734,20 +690,56 @@ class FusedPlan:
             step.execute(executor, program, slabs)
 
     def iter_steps(self, executor: Executor,
-                   program: Program) -> Iterator[List[int]]:
+                   program: Program) -> Generator:
         """:meth:`execute` one dispatch at a time, for the hooked loop.
 
-        Yields each completed dispatch's instruction indices: the CONST
-        preload (when there are constants), then every plan step, so
-        the dispatch count is :meth:`dispatch_count`.
+        Yields each dispatch's instruction indices (first the CONST
+        preload, when any), so the dispatch count is
+        :meth:`dispatch_count`; a step number sent back resumes there.
+        A result a hook replaced goes into a fresh copy of its step's
+        slab (a replaced constant re-gathers its const ports); after a
+        drop, each later step first reads its sources from the register
+        file, so a missing one raises instead of being read stale.
         """
+        steps = ([None] if self.const_sites else []) + self.steps
         slabs: List[Any] = [None] * self.ports
-        self.preload_constants(executor, program, slabs)
-        if self.const_sites:
-            yield [index for index, _ in self.const_sites]
-        for step in self.steps:
-            step.execute(executor, program, slabs)
-            yield step.indices
+        instructions = program.instructions
+        position, dropped = 0, False
+        while position < len(steps):
+            step = steps[position]
+            if step is None:
+                self.preload_constants(executor, program, slabs)
+                indices = [index for index, _ in self.const_sites]
+            else:
+                if dropped:
+                    for index in step.indices:
+                        executor._srcs(instructions[index])
+                step.execute(executor, program, slabs)
+                indices = step.indices
+            written = {d: executor.registers[d] for index in indices
+                       for d in instructions[index].dsts}
+            resume = yield indices
+            if resume is not None:  # the hook restored an earlier state
+                position = resume
+                continue
+            position += 1
+            registers = executor.registers
+            replaced = [d for d, value in written.items()
+                        if registers.get(d) is not value]
+            dropped = dropped or any(d not in registers for d in replaced)
+            fresh: Dict[int, Any] = {}
+            for name in replaced:
+                if name in registers and name in self.slab_rows:
+                    port, row = self.slab_rows[name]
+                    if port not in fresh:
+                        fresh[port] = slabs[port] = \
+                            slabs[port].copy(order="K")
+                    fresh[port][row] = registers[name]
+            if step is None:
+                for port, names in self.const_ports:
+                    if not set(names).isdisjoint(replaced) \
+                            and all(n in registers for n in names):
+                        slabs[port] = _dict_gather(names)(registers, slabs)
 
 
 class _PlanBuilder:
@@ -795,7 +787,7 @@ class _PlanBuilder:
         return _dict_gather(names, transposed)
 
 
-def build_plan(program: Program, label: str = "") -> FusedPlan:
+def build_plan(program: Program) -> FusedPlan:
     """Lower one program into a :class:`FusedPlan` (structure only).
 
     Safe to reuse across every program of one structure slot (frames
@@ -845,7 +837,7 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
                 if len(first.dsts) == 2:
                     marg_port = builder.new_port(
                         [m.dsts[1] for m in instrs])
-                steps.append(_QRStep(level, indices, instrs, gathers,
+                steps.append(_QRStep(indices, instrs, gathers,
                                      port, marg_port))
                 continue
             kernel = None
@@ -853,7 +845,7 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
             if len(members) >= min_size and key[1] is not None:
                 kernel = _make_kernel(first, key, len(members))
             if kernel is None:
-                steps.append(_FallbackStep(first.op, level, indices))
+                steps.append(_FallbackStep(first.op, indices))
                 continue
             # A product's signature keeps transposed and C-ordered
             # operands apart, so the first member speaks for all.
@@ -865,15 +857,14 @@ def build_plan(program: Program, label: str = "") -> FusedPlan:
             ]
             dsts = [instr.dsts[0] for instr in instrs]
             steps.append(_BatchStep(
-                first.op, level, indices,
+                first.op, indices,
                 gathers=gathers, dsts=dsts, kernel=kernel,
                 port=builder.new_port(dsts),
             ))
     counters.incr("fused.plan.build")
     return FusedPlan(len(program.instructions), const_sites,
                      builder.const_ports, steps,
-                     len(builder.port_sizes),
-                     label=label or program.algorithm)
+                     len(builder.port_sizes), builder.ports)
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,7 @@ class ResilienceError(OriannaError):
 class FaultInjectionError(ResilienceError):
     """An injected fault exhausted every recovery tier.
 
-    Raised by the resilient executor when a detected fault survives
+    Raised by the recovery hook when a detected fault survives
     bounded retries and checkpoint replay (or those tiers are disabled)
     and the recovery policy escalates.  The optimizer safeguards catch
     this and degrade gracefully instead of propagating corrupt values.

@@ -48,7 +48,12 @@ class FactorGraph:
 
     @property
     def factors(self) -> List[Factor]:
+        """A copy of the factor list; index one with :meth:`factor`."""
         return list(self._factors)
+
+    def factor(self, index: int) -> Factor:
+        """The ``index``-th factor, without copying the list."""
+        return self._factors[index]
 
     def __len__(self) -> int:
         return len(self._factors)

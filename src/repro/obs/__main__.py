@@ -23,13 +23,6 @@
   rebind, execute, simulate, ...) of a metrics document, from its
   ``host.phase`` spans.  A BENCH document carries no host timing and
   renders the empty table.
-- ``fuse-report`` — level-ize each application's def-use DAG and report
-  the independent same-opcode groups per level (sizes, shape
-  histograms, batchable fractions) plus the interpreter-dispatch
-  overhead a fused/vectorized backend would eliminate — the work-list
-  for ROADMAP item 2.  ``--validate`` cross-checks the prediction
-  against the fused backend's actual plan group sizes and exits
-  nonzero on disagreement.
 - ``vtrace`` — record a per-instruction value trace
   (:mod:`repro.obs.vtrace`) of one application frame: a blake2 digest
   per destination register plus provenance, streamed as chunked JSONL,
@@ -55,8 +48,8 @@
   rollups; ``--prom FILE`` / ``--jsonl FILE`` additionally export the
   Prometheus text exposition and the JSONL time series.
 
-``report``, ``profile``, ``bottleneck``, ``hotspots``, ``fuse-report``,
-``divergence``, ``slo``, and ``top`` all accept
+``report``, ``profile``, ``bottleneck``, ``hotspots``, ``divergence``,
+``slo``, and ``top`` all accept
 ``--json FILE`` to additionally write their raw analysis as a
 machine-readable artifact.
 """
@@ -158,29 +151,6 @@ def main(argv=None) -> int:
                             help="a --metrics output or BENCH document")
     hotspots_p.add_argument("--json", metavar="FILE",
                             help="also write the phase timers as JSON")
-
-    fuse_p = sub.add_parser(
-        "fuse-report",
-        help="report per-level independent same-opcode groups and the "
-             "fusable interpreter-dispatch overhead per application",
-    )
-    fuse_p.add_argument("--app", default=None,
-                        help="restrict to one application by name "
-                             "(default: all four)")
-    fuse_p.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default 0)")
-    fuse_p.add_argument("--top", type=int, default=10,
-                        help="opcode rows per application (default 10)")
-    fuse_p.add_argument("--dispatch-ns", type=float, default=None,
-                        help="per-instruction dispatch cost to assume "
-                             "(default: measured on this host)")
-    fuse_p.add_argument("--json", metavar="FILE",
-                        help="also write the raw reports as JSON")
-    fuse_p.add_argument("--validate", action="store_true",
-                        help="cross-check the predicted eliminable-"
-                             "dispatch count against the fused backend's "
-                             "actual plan group sizes; exit 1 on "
-                             "disagreement")
 
     vtrace_p = sub.add_parser(
         "vtrace",
@@ -387,60 +357,6 @@ def main(argv=None) -> int:
             print(f"repro.obs hotspots: {exc}", file=sys.stderr)
             return 2
         print(rendered)
-        return 0
-
-    if args.command == "fuse-report":
-        from repro.apps import all_applications
-        from repro.obs.fuse import (
-            analyze_application,
-            measure_dispatch_overhead_ns,
-            render_fuse_report,
-        )
-
-        apps = [a for a in all_applications()
-                if args.app is None or a.name == args.app]
-        if not apps:
-            known = ", ".join(a.name for a in all_applications())
-            print(f"repro.obs fuse-report: unknown app {args.app!r} "
-                  f"(known: {known})", file=sys.stderr)
-            return 2
-        dispatch_ns = args.dispatch_ns
-        if dispatch_ns is None:
-            dispatch_ns = measure_dispatch_overhead_ns()
-        if args.validate:
-            from repro.compiler.fused import plan_for
-            from repro.obs.fuse import (
-                analyze_program,
-                render_validation,
-                validate_against_plan,
-            )
-
-            reports = []
-            validations = []
-            for app in apps:
-                program = app.compile_frame(args.seed)
-                report = analyze_program(program, label=app.name,
-                                         dispatch_ns=dispatch_ns)
-                reports.append(report)
-                validations.append(
-                    validate_against_plan(report, plan_for(program)))
-            if args.json:
-                from repro.obs.emit import write_json
-
-                write_json(args.json, {"reports": reports,
-                                       "validations": validations})
-            print(render_fuse_report(reports, top=args.top))
-            print()
-            print(render_validation(validations))
-            return 0 if all(v["agrees"] for v in validations) else 1
-        reports = [analyze_application(app, seed=args.seed,
-                                       dispatch_ns=dispatch_ns)
-                   for app in apps]
-        if args.json:
-            from repro.obs.emit import write_json
-
-            write_json(args.json, reports)
-        print(render_fuse_report(reports, top=args.top))
         return 0
 
     if args.command == "vtrace":

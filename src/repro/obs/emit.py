@@ -2,8 +2,7 @@
 
 Every subcommand's ``--json FILE`` mode funnels through
 :func:`write_json` so the artifacts agree on formatting: one JSON
-document, ``indent=1`` (the style the ``fuse-report`` artifact
-established), trailing newline.
+document, ``indent=1``, trailing newline.
 """
 
 from __future__ import annotations

@@ -90,8 +90,8 @@ class CompiledSolver:
     its compile deadline and runs the session's program on these same
     executors with its hooks installed.
     Per-instruction fault campaigns with detection and tiered recovery
-    run a compiled program through :class:`~repro.resilience.executor.
-    ResilientExecutor` directly.
+    install :class:`~repro.resilience.recovery.RecoveryHook` on the
+    same executors.
     """
 
     def __init__(self, executor: Optional[str] = None):

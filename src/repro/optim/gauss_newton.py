@@ -8,8 +8,8 @@ configured thresholds.
 
 The loop is safeguarded (see :mod:`repro.optim.safeguards`): a
 non-finite residual or update — a degenerate graph, a diverging
-iterate, or an unrecovered accelerator fault escalated by the resilient
-executor — never propagates into :class:`Values`.  Depending on
+iterate, or an unrecovered accelerator fault escalated by the recovery
+hook — never propagates into :class:`Values`.  Depending on
 ``GaussNewtonParams.on_nonfinite`` the solve either falls back to
 Levenberg-Marquardt with escalating damping from the last finite
 iterate, or raises :class:`~repro.errors.OptimizationError`.
@@ -189,7 +189,7 @@ def gauss_newton(
                     )
                     delta, stats = eliminate_and_solve(linear, order)
             except FaultInjectionError:
-                # The resilient executor escalated an unrecoverable
+                # The recovery hook escalated an unrecoverable
                 # accelerator fault out of this solve: degrade exactly
                 # like a corrupt (non-finite) update.
                 counters.incr("resilience.solver.escalations")

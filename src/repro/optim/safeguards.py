@@ -118,8 +118,8 @@ class DeadlineGuard:
     group boundaries, with separate deadlines for the compile/rebind
     phase, the execute phase, and the total.  The supervised executors
     (:mod:`repro.resilience.supervisor`) call :meth:`check` between
-    instruction groups; the resilient executor threads a guard through
-    campaign trials so a hung scenario fails instead of hanging CI.
+    instruction groups; campaign trials install one as their executor's
+    guard so a hung scenario fails instead of hanging CI.
 
     ``check`` raises :class:`~repro.errors.DeadlineExceeded` carrying
     the tripped phase, the measured times, and whatever partial-progress

@@ -10,8 +10,8 @@ model in :mod:`repro.sim`:
   over a compiled program, shared by the value and timing domains;
 - :mod:`repro.resilience.abft` — algorithm-based fault tolerance
   checksums for the matrix-oriented ISA (Huang-Abraham style);
-- :mod:`repro.resilience.executor` — an :class:`Executor` subclass that
-  injects planned faults and recovers via retry → checkpoint → escalate;
+- :mod:`repro.resilience.recovery` — a run-loop hook for either executor
+  that injects planned faults and recovers via retry → checkpoint → escalate;
 - :mod:`repro.resilience.campaign` — seeded rate sweeps over the
   paper's applications with a Tbl. 5-style verdict table;
 - :mod:`repro.resilience.supervisor` — the supervised solve pipeline:
@@ -38,11 +38,7 @@ from repro.resilience.campaign import (
     quick_config,
     run_campaign,
 )
-from repro.resilience.executor import (
-    ResilienceStats,
-    ResilientExecutor,
-    execute_with_faults,
-)
+from repro.resilience.recovery import ResilienceStats, execute_with_faults
 from repro.resilience.faults import FaultEvent, FaultPlan, plan_faults
 from repro.resilience.spec import (
     DETECT_ONLY,
@@ -80,7 +76,6 @@ __all__ = [
     "FaultPlan",
     "RecoveryPolicy",
     "ResilienceStats",
-    "ResilientExecutor",
     "check_instruction",
     "execute_with_faults",
     "full_config",

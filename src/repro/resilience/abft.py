@@ -17,8 +17,8 @@ invariants that cost an order less than the operation they verify:
 
 :func:`check_instruction` returns ``True`` (consistent), ``False``
 (corrupt), or ``None`` when the opcode has no algebraic invariant here
-(``LOG``/``EXP``/``SKEW``/``JR``/``JRINV``/``EMBED``); the resilient
-executor then falls back to dual modular redundancy if its policy
+(``LOG``/``EXP``/``SKEW``/``JR``/``JRINV``/``EMBED``); the recovery
+hook then falls back to dual modular redundancy if its policy
 allows.  Tolerances scale with operand magnitude so clean float64
 arithmetic never trips a check.
 """

@@ -2,9 +2,10 @@
 
 A campaign sweeps fault rates over the Tbl. 4 applications: per
 application and rate it compiles the steady-state frame program once,
-executes it many times under seeded fault plans with ABFT-checked
-recovery, and scores each trial against the fault-free golden register
-file — the resilience analogue of the Tbl. 5 mission-success table.
+executes it many times on the ``REPRO_EXECUTOR`` backend under seeded
+fault plans with ABFT-checked recovery, and scores each trial against
+the interpreter's fault-free golden register file — the resilience
+analogue of the Tbl. 5 mission-success table.
 
 Verdicts per trial:
 
@@ -31,10 +32,11 @@ from repro.apps import all_applications
 from repro.apps.seeding import stable_seed
 from repro.errors import DeadlineExceeded, OriannaError, ResilienceError
 from repro.compiler.executor import Executor
+from repro.compiler.fused import default_executor_name
 from repro.eval.experiments import ORIANNA_CONFIG
 from repro.eval.harness import ExperimentTable
 from repro.obs import fleet, trace
-from repro.resilience.executor import execute_with_faults
+from repro.resilience.recovery import execute_with_faults
 from repro.resilience.faults import plan_faults
 from repro.resilience.spec import CampaignSpec, RecoveryPolicy
 from repro.sim import Simulator
@@ -146,11 +148,10 @@ class TrialOutcome:
         return not self.crashed and self.max_rel_err < SOLUTION_RTOL
 
 
-def run_trial(program, golden: Dict[str, np.ndarray], clean_cycles: int,
-              app_name: str, rate: float, trial: int,
+def run_trial(program, golden: Dict[str, np.ndarray], app_name: str,
+              rate: float, trial: int,
               config: CampaignConfig) -> TrialOutcome:
     """Execute + simulate one seeded fault plan; score against golden."""
-    del clean_cycles
     spec = config.spec.with_rate(rate).with_seed(
         stable_seed("resilience", app_name, f"{rate:.6g}", trial,
                     config.seed)
@@ -187,7 +188,7 @@ def run_trial(program, golden: Dict[str, np.ndarray], clean_cycles: int,
         # All values here are deterministic functions of the seed —
         # counts and *simulated* latency — so the campaign's fleet
         # section is byte-identical across same-seed runs.
-        labels = {"app": app_name, "executor": "resilient",
+        labels = {"app": app_name, "executor": default_executor_name(),
                   "stage": f"rate={rate:.6g}"}
         registry.incr(fleet.M_SOLVE_TOTAL, **labels)
         registry.observe(fleet.M_SOLVE_SIM_LATENCY,
@@ -248,8 +249,8 @@ def run_campaign(config: Optional[CampaignConfig] = None
                                                   config.sim_policy)
             for rate in config.rates:
                 outcomes = [
-                    run_trial(program, golden, clean.total_cycles,
-                              app.name, rate, trial, config)
+                    run_trial(program, golden, app.name, rate, trial,
+                              config)
                     for trial in range(config.trials)
                 ]
                 _record(table, workloads, app.name, rate, outcomes, clean)

@@ -6,7 +6,7 @@ what parameters — so the schedule is a pure function of the program
 structure and the :class:`~repro.resilience.spec.CampaignSpec`.  The
 same :class:`FaultPlan` drives both execution domains:
 
-- the **value domain** (:mod:`repro.resilience.executor`) corrupts
+- the **value domain** (:mod:`repro.resilience.recovery`) corrupts
   instruction results and records how many execution attempts each
   instruction needed;
 - the **timing domain** (:meth:`FaultPlan.apply_timing`, consumed by
@@ -234,6 +234,22 @@ def corrupt_arrays(event: FaultEvent,
     return dst, out
 
 
+def inject_fault(event: FaultEvent, registers: Dict[str, np.ndarray],
+                 instr: Instruction) -> bool:
+    """Apply ``event`` to ``instr``'s results in ``registers``: a value
+    fault corrupts one of them, a drop removes them all (and returns
+    True), and a stall leaves them alone."""
+    if event.kind == FAULT_DROP:
+        for dst in instr.dsts:
+            registers.pop(dst, None)
+        return True
+    if event.kind in VALUE_KINDS and instr.dsts:
+        dst, corrupted = corrupt_arrays(
+            event, [registers[name] for name in instr.dsts])
+        registers[instr.dsts[dst]] = corrupted
+    return False
+
+
 def fault_injector(plan: FaultPlan) -> Callable:
     """A run-loop injector that corrupts ``plan``'s value-fault sites.
 
@@ -241,18 +257,13 @@ def fault_injector(plan: FaultPlan) -> Callable:
     :data:`repro.compiler.executor.Injector`) for forensic runs such as
     ``repro.obs vtrace --fault-rate``: each corrupted result stays in
     the register file, undetected and unrecovered, as a faulty backend
-    would leave it.  Detection and recovery are
-    :class:`~repro.resilience.executor.ResilientExecutor`'s job.
+    would leave it.  :class:`~repro.resilience.recovery.RecoveryHook`
+    injects through the same :func:`inject_fault`, then recovers.
     """
     def inject(executor, program: Program, indices) -> None:
-        registers = executor.registers
         for index in indices:
             instr = program.instructions[index]
             event = plan.event_for(instr.uid)
-            if event is None or event.kind not in VALUE_KINDS \
-                    or not instr.dsts:
-                continue
-            dst, corrupted = corrupt_arrays(
-                event, [registers[name] for name in instr.dsts])
-            registers[instr.dsts[dst]] = corrupted
+            if event is not None and event.kind in VALUE_KINDS:
+                inject_fault(event, executor.registers, instr)
     return inject

@@ -88,8 +88,8 @@ RUNG_INTERPRETER = "interpreter"
 RUNG_REFERENCE = "reference"
 DEFAULT_LADDER = (RUNG_FUSED, RUNG_INTERPRETER, RUNG_REFERENCE)
 
-# Failures the supervisor treats as potentially transient: the resilient
-# executor escalating an unrecovered fault, a host opcode handler raising
+# Failures the supervisor treats as potentially transient: the recovery
+# hook escalating an unrecovered fault, a host opcode handler raising
 # mid-program, and the numeric-library errors a corrupted register file
 # surfaces as (scipy/numpy finiteness checks raise plain ValueError, QR
 # on a poisoned operand raises LinAlgError).  Anything else propagates

@@ -134,6 +134,24 @@ class TestOpcodeSemantics:
         with pytest.raises(ExecutionError):
             Executor().run(program)
 
+    def test_bsub_nan_propagates_alike_on_both_backends(self):
+        """A NaN operand reaches the solution on both backends, where
+        scipy's finiteness check would raise a ValueError."""
+        from repro.compiler import FusedExecutor
+
+        program = Program()
+        cond = program.new_register("c", (2, 3))
+        program.emit(Opcode.CONST, [], [cond],
+                     {"value": np.array([[2.0, 1.0, np.nan],
+                                         [0.0, 4.0, 1.0]])})
+        sol = program.new_register("s", (2,))
+        program.emit(Opcode.BSUB, [cond], [sol],
+                     {"frontal_dim": 2, "parents": []})
+        interpreted = Executor().run(program)[sol]
+        fused = FusedExecutor().run(program)[sol]
+        assert np.isnan(interpreted[0]) and interpreted[1] == 0.25
+        assert interpreted.tobytes() == fused.tobytes()
+
     def test_write_count_mismatch(self):
         from repro.compiler.isa import Instruction
 

@@ -4,9 +4,9 @@ The fused executor is a drop-in :class:`Executor`; these tests pin the
 contracts that make it one when composed with the compilation cache
 (rebind never re-plans, in-place extension re-plans), the value tracer
 (byte-identical traces), the run-loop hooks both backends share
-(tracer, deadline guard, injector, including under a supervised
-solve), and backend selection (``REPRO_EXECUTOR`` and per-solver
-names).
+(tracer, deadline guard, injector, the recovery hook, including under a
+supervised solve; a register an injector rewrites reaches every later
+step), and backend selection (``REPRO_EXECUTOR`` and per-solver names).
 """
 
 import itertools
@@ -19,9 +19,13 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.apps import all_applications
 from repro.compiler import (
     Executor,
     FusedExecutor,
+    cache as cache_module,
+    clear_default_cache,
+    codegen,
     compile_graph,
     default_cache,
 )
@@ -34,9 +38,15 @@ from repro.compiler.fused import (
     executor_factory,
     plan_for,
 )
+from repro.compiler.isa import Program
+from repro.errors import ExecutionError
 from repro.obs import vtrace
 from repro.optim.compiled import CompiledSolver
 from repro.optim.safeguards import DeadlineGuard
+from repro.resilience.campaign import max_relative_error
+from repro.resilience.faults import FaultPlan, fault_injector, plan_faults
+from repro.resilience.recovery import RecoveryHook
+from repro.resilience.spec import CampaignSpec
 from repro.resilience.supervisor import (
     RUNG_FUSED,
     RUNG_INTERPRETER,
@@ -44,7 +54,7 @@ from repro.resilience.supervisor import (
     SupervisorConfig,
 )
 
-from tests.diff.util import random_problem
+from tests.diff.util import call_counter, random_problem
 
 
 @pytest.fixture
@@ -112,16 +122,38 @@ class TestPlanReuseAcrossRebinds:
 # Observability: value traces agree across backends
 # ----------------------------------------------------------------------
 
+def template_frame(monkeypatch):
+    """MobileRobot's seed-1 frame, built from its seed-0 frame template
+    in one pass (one rebind, no extend, no compile) on a cleared
+    cache."""
+    app = next(a for a in all_applications() if a.name == "MobileRobot")
+    clear_default_cache()
+    first = app.compile_frame(0)
+    calls = [call_counter(monkeypatch, codegen, "compile_graph"),
+             call_counter(monkeypatch, cache_module, "rebind"),
+             call_counter(monkeypatch, Program, "extend")]
+    frame = app.compile_frame(1)
+    assert [c[0] for c in calls] == [0, 1, 0]
+    assert frame.structure_slot().template is first
+    return frame
+
+
 class TestTracingComposition:
-    def test_vtrace_byte_identical_across_executors(self, problem, tmp_path):
-        compiled = default_cache().compile_stream(*problem)
-        path_interp = tmp_path / "interp.trace"
-        path_fused = tmp_path / "fused.trace"
-        with vtrace.recording_scope(str(path_interp), ring_size=0):
-            Executor().run(compiled.program)
-        with vtrace.recording_scope(str(path_fused), ring_size=0):
-            FusedExecutor().run(compiled.program)
-        assert path_interp.read_bytes() == path_fused.read_bytes()
+    def test_vtrace_byte_identical_across_executors(self, problem, tmp_path,
+                                                   monkeypatch):
+        stream = default_cache().compile_stream(*problem).program
+        try:
+            programs = [stream, template_frame(monkeypatch)]
+        finally:
+            clear_default_cache()
+        for index, program in enumerate(programs):
+            path_interp = tmp_path / f"interp{index}.trace"
+            path_fused = tmp_path / f"fused{index}.trace"
+            with vtrace.recording_scope(str(path_interp), ring_size=0):
+                Executor().run(program)
+            with vtrace.recording_scope(str(path_fused), ring_size=0):
+                FusedExecutor().run(program)
+            assert path_interp.read_bytes() == path_fused.read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +217,24 @@ class TestHookComposition:
             assert [r["uid"] for r in records] == \
                 [instr.uid for instr in program.instructions]
 
+    @pytest.mark.parametrize("backend", [Executor, FusedExecutor],
+                             ids=["interpreter", "fused"])
+    def test_recovery_hook_without_faults_is_plain_run(self, backend,
+                                                       problem):
+        """The recovery hook with an empty plan (ABFT checks, DMR
+        re-executions, checkpoints) leaves every register bitwise equal
+        to the plain run's."""
+        program = default_cache().compile_stream(*problem).program
+        plain = Executor().run(program)
+        hook = RecoveryHook(FaultPlan({}))
+        registers = backend(guard=DeadlineGuard(total_s=3600.0),
+                            injector=hook).run(program)
+        assert registers.keys() == plain.keys()
+        for name, value in plain.items():
+            assert bitwise_equal(registers[name], value), name
+        assert hook.stats.abft_checks > 0 and hook.stats.dmr_checks > 0
+        assert hook.stats.detected == hook.stats.false_alarms == 0
+
     @pytest.mark.parametrize("rung", [RUNG_FUSED, RUNG_INTERPRETER])
     def test_supervised_solve_is_traced(self, rung, problem, tmp_path):
         """An armed deadline guard does not hide a supervised solve from
@@ -202,8 +252,6 @@ class TestHookComposition:
 
     def test_crashing_fused_run_traces_completed_steps(self, problem,
                                                       tmp_path):
-        from repro.errors import ExecutionError
-
         program = default_cache().compile_stream(*problem).program
 
         def crash(executor, program, indices):
@@ -220,6 +268,75 @@ class TestHookComposition:
         assert lines[-1]["kind"] == "end"
         assert [r["uid"] for r in lines if r["kind"] == "instr"] == \
             [program.instructions[i].uid for i in sorted(first)]
+
+
+# ----------------------------------------------------------------------
+# Injected rewrites: a register a hook replaces reaches every later step
+# ----------------------------------------------------------------------
+
+APP_NAMES = [a.name for a in all_applications()]
+
+
+class TestInjectedRewrites:
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_seeded_value_faults_propagate_alike(self, app_name):
+        """Fused consumers that gather from a step's slab must read a
+        register the injector corrupted, as the interpreter's reads do.
+        The two agree to rounding, not bitwise: a corrupted row of a
+        transposed slab keeps the slab's layout."""
+        app = next(a for a in all_applications() if a.name == app_name)
+        program = app.compile_frame(0)
+        clean = Executor().run(program)
+        for seed in (7, 8, 9):
+            spec = CampaignSpec(rate=0.02, seed=seed)
+            runs = [backend(injector=fault_injector(
+                        plan_faults(program, spec))).run(program)
+                    for backend in (Executor, FusedExecutor)]
+            assert max_relative_error(clean, runs[0]) > 1e-3
+            assert max_relative_error(runs[0], runs[1]) <= 1e-12, seed
+
+    @pytest.mark.parametrize("backend", [Executor, FusedExecutor],
+                             ids=["interpreter", "fused"])
+    def test_rewritten_constant_reaches_its_consumers(self, backend,
+                                                     problem):
+        """A hook that rewrites a CONST register changes every result
+        downstream of it, the fused const-port stacks included."""
+        program = default_cache().compile_stream(*problem).program
+        # A constant the fused plan stacks into a const port.
+        target = plan_for(program).const_ports[0][1][0]
+
+        def double(executor, program, indices):
+            if any(target in program.instructions[i].dsts for i in indices):
+                executor.registers[target] = 2.0 * executor.registers[target]
+
+        expected = Executor(injector=double).run(program)
+        registers = backend(injector=double).run(program)
+        assert max_relative_error(expected, registers) <= 1e-12
+        assert max_relative_error(Executor().run(program), registers) > 0
+
+    @pytest.mark.parametrize("backend", [Executor, FusedExecutor],
+                             ids=["interpreter", "fused"])
+    def test_dropped_result_is_never_read(self, backend, problem):
+        """A result a hook drops stays unwritten, so its first consumer
+        fails, on the fused backend too, instead of reading the dropped
+        row from the step's slab."""
+        program = default_cache().compile_stream(*problem).program
+        plan = plan_for(program)
+        # A batch-step result whose first reader gathers it as a block.
+        first_reader = {}
+        for step in plan.steps:
+            for index in step.indices:
+                for src in program.instructions[index].srcs:
+                    first_reader.setdefault(src, step)
+        target = next(name for name in plan.slab_rows
+                      if hasattr(first_reader.get(name), "gathers"))
+
+        def drop(executor, program, indices):
+            if any(target in program.instructions[i].dsts for i in indices):
+                del executor.registers[target]
+
+        with pytest.raises(ExecutionError, match=f"{target} was never"):
+            backend(injector=drop).run(program)
 
 
 # ----------------------------------------------------------------------

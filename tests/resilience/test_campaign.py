@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.compiler.fused import default_executor_name
 from repro.errors import ResilienceError
 from repro.eval.harness import ExperimentTable
 from repro.resilience.campaign import (
@@ -99,8 +100,9 @@ class TestFleetSection:
         totals = [e for e in fleet["series"]
                   if e["name"] == "fleet.solve.total"]
         (entry,) = totals
+        # The executor label names the backend the trials ran on.
         assert entry["labels"] == {
-            "app": "Manipulator", "executor": "resilient",
+            "app": "Manipulator", "executor": default_executor_name(),
             "session": "campaign", "stage": "rate=0.02"}
         assert entry["value"] == 2.0  # one per trial
         assert [w["key"] for w in fleet["windows"]] == \

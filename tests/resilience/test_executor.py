@@ -1,14 +1,29 @@
-"""Resilient execution: detection, tiered recovery, and escalation."""
+"""Resilient execution: detection, tiered recovery, and escalation.
+
+Every scenario runs on both executors: each class runs on the
+interpreter, and its ``...Fused`` subclass at the bottom of the file
+runs the same scenarios on the fused backend (``execute_with_faults``
+installs its recovery hook on the ``REPRO_EXECUTOR`` default).
+"""
+
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.compiler.executor import Executor
+from repro.compiler.fused import (
+    EXECUTOR_ENV,
+    EXECUTOR_FUSED,
+    EXECUTOR_INTERPRETER,
+    executor_factory,
+)
 from repro.compiler.isa import Opcode
-from repro.errors import FaultInjectionError
-from repro.resilience.executor import ResilientExecutor, execute_with_faults
+from repro.errors import ExecutionError, FaultInjectionError
+from repro.obs import vtrace
 from repro.resilience.faults import FaultEvent, FaultPlan
+from repro.resilience.recovery import RecoveryHook, execute_with_faults
 from repro.resilience.spec import (
     DETECT_ONLY,
     ESCALATE_CONTINUE,
@@ -42,7 +57,15 @@ def same_registers(a, b):
     return all(np.array_equal(a[k], b[k]) for k in a)
 
 
-class TestCleanPath:
+class OnInterpreter:
+    backend = EXECUTOR_INTERPRETER
+
+    @pytest.fixture(autouse=True)
+    def _backend(self, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV, self.backend)
+
+
+class TestCleanPath(OnInterpreter):
     def test_no_plan_matches_plain_executor_bit_exactly(self, program,
                                                         golden):
         registers, stats = execute_with_faults(program, FaultPlan({}))
@@ -53,7 +76,7 @@ class TestCleanPath:
         assert stats.escalated == 0
 
 
-class TestRetryRecovery:
+class TestRetryRecovery(OnInterpreter):
     def test_transient_value_fault_recovered_by_retry(self, program,
                                                       golden):
         uid = checked_site(program)
@@ -90,7 +113,7 @@ class TestRetryRecovery:
         assert stats.recovered == 1
 
 
-class TestCheckpointRecovery:
+class TestCheckpointRecovery(OnInterpreter):
     def test_persistent_fault_recovered_from_checkpoint(self, program,
                                                         golden):
         uid = checked_site(program)
@@ -112,6 +135,40 @@ class TestCheckpointRecovery:
             execute_with_faults(program, plan, policy)
         assert f"instruction #{uid}" in str(err.value)
 
+    def test_rewind_reexecutes_and_traces_each_instruction_once(
+            self, program, golden, tmp_path):
+        """A checkpoint restore resumes from the checkpoint's step, so
+        the steps after it run again; the value trace still records
+        every instruction once, with its final (recovered) value."""
+        uid = checked_site(program)
+        plan = FaultPlan({uid: FaultEvent(uid, "value", magnitude=0.5,
+                                          persistent=True)})
+        hook = RecoveryHook(plan, RecoveryPolicy(checkpoint_every=8))
+        seen = []
+
+        def recording(executor, program, indices):
+            seen.extend(indices)
+            return hook(executor, program, indices)
+
+        clean_path, path = tmp_path / "clean.trace", tmp_path / "rec.trace"
+        with vtrace.recording_scope(clean_path, ring_size=0):
+            executor_factory()().run(program)
+        with vtrace.recording_scope(path, ring_size=0):
+            registers = executor_factory()(injector=recording).run(program)
+        assert same_registers(registers, golden)
+        assert hook.stats.checkpoint_restores == 1
+        site = next(i for i, instr in enumerate(program.instructions)
+                    if instr.uid == uid)
+        counts = Counter(seen)
+        assert counts[site] == 2
+        assert set(counts.values()) <= {1, 2}
+        assert set(counts) == set(range(len(program.instructions)))
+        with open(path) as fh:
+            uids = [r["uid"] for r in map(json.loads, fh)
+                    if r["kind"] == "instr"]
+        assert uids == [instr.uid for instr in program.instructions]
+        assert path.read_bytes() == clean_path.read_bytes()
+
     def test_escalate_continue_keeps_corruption_and_counts_it(
             self, program, golden):
         uid = checked_site(program)
@@ -124,7 +181,7 @@ class TestCheckpointRecovery:
         assert not same_registers(registers, golden)
 
 
-class TestDetectOnly:
+class TestDetectOnly(OnInterpreter):
     def test_detect_only_policy_never_retries(self, program):
         uid = checked_site(program)
         plan = FaultPlan({uid: FaultEvent(uid, "value", magnitude=0.5)})
@@ -135,8 +192,16 @@ class TestDetectOnly:
         assert stats.recovered == 0
         assert stats.escalated == 1
 
+    def test_unreissued_drop_is_never_read(self, program):
+        """A drop no retry reissues leaves its result unwritten, so the
+        first read of it raises, on either backend."""
+        uid = checked_site(program)
+        plan = FaultPlan({uid: FaultEvent(uid, "drop")})
+        with pytest.raises(ExecutionError, match="never written"):
+            execute_with_faults(program, plan, DETECT_ONLY)
 
-class TestObservability:
+
+class TestObservability(OnInterpreter):
     def test_counters_exported_when_obs_enabled(self, program):
         uid = checked_site(program)
         plan = FaultPlan({uid: FaultEvent(uid, "value", magnitude=0.5)})
@@ -155,3 +220,27 @@ class TestObservability:
         for key in ("injected", "detected", "recovered", "silent",
                     "retries", "abft_checks", "dmr_checks"):
             assert key in d
+
+
+# ----------------------------------------------------------------------
+# The same scenarios on the fused backend
+# ----------------------------------------------------------------------
+
+class TestCleanPathFused(TestCleanPath):
+    backend = EXECUTOR_FUSED
+
+
+class TestRetryRecoveryFused(TestRetryRecovery):
+    backend = EXECUTOR_FUSED
+
+
+class TestCheckpointRecoveryFused(TestCheckpointRecovery):
+    backend = EXECUTOR_FUSED
+
+
+class TestDetectOnlyFused(TestDetectOnly):
+    backend = EXECUTOR_FUSED
+
+
+class TestObservabilityFused(TestObservability):
+    backend = EXECUTOR_FUSED

@@ -455,17 +455,16 @@ class TestCampaignTimeout:
 
     def test_expired_timeout_scores_crash_not_hang(self):
         from repro.optim.safeguards import DeadlineGuard
-        from repro.resilience.executor import ResilientExecutor
         from repro.resilience.faults import FaultPlan
+        from repro.resilience.recovery import execute_with_faults
 
         from .conftest import pose_chain_program
 
         program = pose_chain_program()
         guard = DeadlineGuard(total_s=1e-9, label="trial")
         time.sleep(0.002)
-        executor = ResilientExecutor(FaultPlan({}), deadline=guard)
         with pytest.raises(DeadlineExceeded):
-            executor.run(program)
+            execute_with_faults(program, FaultPlan({}), deadline=guard)
 
     def test_campaign_with_generous_timeout_matches_untimed(self):
         from repro.resilience.campaign import CampaignConfig, run_campaign
