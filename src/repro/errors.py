@@ -27,15 +27,14 @@ class OptimizationError(OriannaError):
 class DeadlineExceeded(OptimizationError):
     """A wall-clock deadline expired mid-solve.
 
-    Raised by :class:`~repro.optim.safeguards.SolveBudget` and
-    :class:`~repro.optim.safeguards.DeadlineGuard` at iteration or
-    instruction-group boundaries.  Subclasses
-    :class:`OptimizationError` so existing budget handling keeps
-    working, while carrying structured context the supervised solve
-    pipeline uses to decide between demotion and abort:
+    Raised by :class:`~repro.optim.safeguards.DeadlineGuard` at
+    optimizer iteration, LM trial or executor step boundaries.
+    Subclasses :class:`OptimizationError` so existing budget handling
+    keeps working, while carrying structured context the supervised
+    solve pipeline uses to decide between demotion and abort:
 
-    - ``phase`` — which deadline tripped (``"compile"``, ``"execute"``,
-      or ``"total"``);
+    - ``phase`` — which deadline tripped (``"execute"`` or
+      ``"total"``);
     - ``elapsed_s`` / ``deadline_s`` — the measured and configured
       wall-clock seconds;
     - ``partial`` — progress made before the deadline (e.g. completed

@@ -81,9 +81,6 @@ class AcceleratorConfig:
     def fits(self, budget: Resources = ZC706) -> bool:
         return self.resources().fits_within(budget)
 
-    def cycle_time_us(self) -> float:
-        return 1.0 / self.clock_mhz
-
     def describe(self) -> str:
         parts = [f"{unit}x{count}" for unit, count in
                  sorted(self.unit_counts.items())]

@@ -45,9 +45,6 @@ class DataPath:
     )
     buffer_words_peak: int = 0
 
-    def connection(self, src: str, dst: str) -> Connection:
-        return self.connections[(src, dst)]
-
     def total_traffic_words(self) -> int:
         return sum(c.words for c in self.connections.values())
 

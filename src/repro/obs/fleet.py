@@ -164,10 +164,6 @@ class QuantileSketch:
         index = int(math.ceil(math.log(value) / self._log_gamma))
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
-    def bucket_bounds(self, index: int) -> Tuple[float, float]:
-        """The (lo, hi] value range of one bucket."""
-        return self.gamma ** (index - 1), self.gamma ** index
-
     def quantile(self, q: float) -> Optional[float]:
         """The value at quantile ``q`` in [0, 1]; None when empty.
 

@@ -5,6 +5,7 @@ from repro.optim.gauss_newton import (
     NONFINITE_FALLBACK,
     NONFINITE_RAISE,
     gauss_newton,
+    solve_session,
     step_norm,
 )
 from repro.optim.levenberg import (
@@ -15,7 +16,6 @@ from repro.optim.levenberg import (
 from repro.optim.result import IterationRecord, OptimizationResult
 from repro.optim.safeguards import (
     DeadlineGuard,
-    SolveBudget,
     clip_delta,
     delta_is_finite,
 )
@@ -26,13 +26,13 @@ __all__ = [
     "NONFINITE_FALLBACK",
     "NONFINITE_RAISE",
     "gauss_newton",
+    "solve_session",
     "step_norm",
     "LevenbergParams",
     "levenberg_marquardt",
     "damped_graph",
     "IterationRecord",
     "OptimizationResult",
-    "SolveBudget",
     "clip_delta",
     "delta_is_finite",
 ]

@@ -8,8 +8,9 @@ ordering search) and keeps it; every later solve on the same structure
 rewrites only that program's value-bearing constants in place and runs
 it again — the compile-once/execute-many model of the accelerator
 (Fig. 3), at host-software scale.  Every compiled solve takes its
-program from a session: the ``compiled`` and ``fused`` backends
-directly, the ``supervised`` backend through
+program from a session, which :func:`~repro.optim.gauss_newton.
+solve_session` makes from the loop's ``backend``: the ``compiled`` and
+``fused`` backends directly, the ``supervised`` backend through
 :class:`~repro.resilience.supervisor.SupervisedSolver`.
 
 LM damping is expressed inside the factor-graph abstraction: each trial
@@ -87,7 +88,7 @@ class CompiledSolver:
     Deadlines, chaos injection, retry and the fallback ladder live one
     layer up in :class:`~repro.resilience.supervisor.SupervisedSolver`,
     which owns a session of its own: it calls :meth:`prepare` under
-    its compile deadline and runs the session's program on these same
+    its total deadline and runs the session's program on these same
     executors with its hooks installed.
     Per-instruction fault campaigns with detection and tiered recovery
     install :class:`~repro.resilience.recovery.RecoveryHook` on the
@@ -139,6 +140,10 @@ class CompiledSolver:
                              time.perf_counter() - started,
                              executor=executor)
         return self.compiled.extract_solution(registers)
+
+    def degradation_report(self) -> None:
+        """None: an unsupervised session records no degradation."""
+        return None
 
     def _bind(self, graph: FactorGraph, values: Values,
               ordering: Optional[Sequence[Key]]) -> None:

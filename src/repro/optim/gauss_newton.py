@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import FaultInjectionError, OptimizationError
+from repro.errors import FaultInjectionError
+from repro.factorgraph.elimination import EliminationStats
 from repro.factorgraph.elimination import solve as eliminate_and_solve
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
@@ -32,7 +33,7 @@ from repro.obs import counters, trace
 from repro.optim.probes import record_iteration
 from repro.optim.result import IterationRecord, OptimizationResult
 from repro.optim.safeguards import (
-    SolveBudget,
+    DeadlineGuard,
     clip_delta,
     delta_is_finite,
     is_finite_scalar,
@@ -46,6 +47,8 @@ NONFINITE_RAISE = "raise"        # raise OptimizationError
 # Damping the LM fallback starts from: aggressive enough that the first
 # trials already regularize a near-singular system.
 FALLBACK_INITIAL_LAMBDA = 1e-2
+
+BACKENDS = ("reference", "compiled", "fused", "supervised")
 
 
 @dataclass
@@ -63,6 +66,56 @@ class GaussNewtonParams:
     max_wall_clock_s: Optional[float] = None
 
 
+def solve_session(backend: str):
+    """The linear-solve session a GN or LM call runs ``backend`` on.
+
+    ``"reference"`` has none (``None``): each iteration linearizes and
+    solves with the numpy elimination path.  ``"compiled"`` is a
+    :class:`~repro.optim.compiled.CompiledSolver`: its first solve
+    compiles the graph through the ORIANNA compiler, and every later
+    solve on the same structure refreshes that program's value-bearing
+    constants in place and runs it again (compile once, execute many).
+    ``"fused"`` is the same session executed through the fused
+    vectorized plan (:mod:`repro.compiler.fused`), bit-identical to
+    ``"compiled"``.  ``"supervised"`` is a :class:`~repro.resilience.
+    supervisor.SupervisedSolver` with the default configuration
+    (deadlines, retry with backoff, the fused → interpreter →
+    reference fallback ladder), whose degradation report the result
+    carries.  A session reports empty elimination stats: the QR shapes
+    live in the compiled program, not the solver.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown solve backend {backend!r}")
+    if backend == "reference":
+        return None
+    if backend == "supervised":
+        from repro.resilience.supervisor import SupervisedSolver
+
+        return SupervisedSolver()
+    from repro.optim.compiled import CompiledSolver
+
+    return CompiledSolver(executor="fused" if backend == "fused" else None)
+
+
+def converged(params, error_before: float, error_after: float,
+              norm: float) -> bool:
+    """The stopping rule both loops apply after an accepted step:
+    a small error, a small step, or a small relative improvement."""
+    if error_after < params.absolute_error_tol or norm < params.step_tol:
+        return True
+    return error_before > 0.0 and abs(error_before - error_after) \
+        / error_before < params.relative_error_tol
+
+
+def solve_result(values: Values, done: bool, records,
+                 session) -> OptimizationResult:
+    """A loop's result, carrying its session's degradation report."""
+    report = None if session is None else session.degradation_report()
+    return OptimizationResult(values=values, converged=done,
+                              iterations=records,
+                              degradation_report=report)
+
+
 def step_norm(delta) -> float:
     """Euclidean norm of a stacked per-variable update."""
     total = 0.0
@@ -73,16 +126,17 @@ def step_norm(delta) -> float:
 
 def _lm_fallback(graph: FactorGraph, values: Values,
                  params: GaussNewtonParams, iteration: int,
-                 ordering, backend: str, budget: SolveBudget,
+                 ordering, backend: str, guard: DeadlineGuard,
                  records) -> OptimizationResult:
     """Degrade to LM with escalating damping from the last finite iterate."""
     from repro.optim.levenberg import LevenbergParams, levenberg_marquardt
 
     counters.incr("resilience.solver.gn_fallback_lm")
-    # A fully drained budget must still construct a *valid* LM budget
-    # (zero now raises ValueError); a vanishing positive remainder makes
-    # LM's first check trip instead, which is the correct semantics.
-    remaining = budget.remaining_s()
+    # A fully drained deadline must still construct a *valid* LM
+    # deadline (zero raises ValueError); a vanishing positive remainder
+    # makes LM's first check trip instead, which is the correct
+    # semantics.
+    remaining = guard.remaining_s()
     if remaining is not None:
         remaining = max(remaining, 1e-9)
     lm_params = LevenbergParams(
@@ -116,62 +170,33 @@ def gauss_newton(
 ) -> OptimizationResult:
     """Run Gauss-Newton on ``graph`` starting from ``initial``.
 
-    ``backend="reference"`` (the default) linearizes and solves each
-    iteration with the numpy elimination path.  ``backend="compiled"``
-    solves through the ORIANNA compiler in one solve session
-    (:class:`~repro.optim.compiled.CompiledSolver`): the first iteration
-    compiles the graph, every later iteration refreshes that program's
-    value-bearing constants in place and runs it again (compile once,
-    execute many).  The compiled backend reports empty per-iteration
-    elimination stats (QR shapes live in the compiled program, not the
-    solver).
-    ``backend="fused"`` is the compiled backend executed through the
-    fused vectorized plan (:mod:`repro.compiler.fused`) — bit-identical
-    results, batched NumPy dispatch.  ``backend="supervised"`` runs each
-    solve through a :class:`~repro.resilience.supervisor.SupervisedSolver`
-    with the default configuration (deadlines, retry with backoff, the
-    fused → interpreter → reference fallback ladder) and attaches its
-    degradation report to the result.
+    ``backend`` names the linear-solve session every iteration runs on
+    (see :func:`solve_session`).
     """
     if params is None:
         params = GaussNewtonParams()
-    if backend not in ("reference", "compiled", "fused", "supervised"):
-        raise ValueError(f"unknown gauss_newton backend {backend!r}")
     if params.on_nonfinite not in (NONFINITE_FALLBACK, NONFINITE_RAISE):
         raise ValueError(
             f"unknown on_nonfinite mode {params.on_nonfinite!r}"
         )
-    solver = None
-    supervised = backend == "supervised"
-    if supervised:
-        from repro.factorgraph.elimination import EliminationStats
-        from repro.resilience.supervisor import SupervisedSolver
-
-        solver = SupervisedSolver()
-    elif backend in ("compiled", "fused"):
-        from repro.factorgraph.elimination import EliminationStats
-        from repro.optim.compiled import CompiledSolver
-
-        solver = CompiledSolver(
-            executor="fused" if backend == "fused" else None)
+    session = solve_session(backend)
+    guard = DeadlineGuard(params.max_wall_clock_s, label="gauss_newton")
     values = initial.copy()
     records = []
-    converged = False
-    budget = SolveBudget(params.max_wall_clock_s, label="gauss_newton")
 
     def degraded(iteration: int, context: str) -> OptimizationResult:
         counters.incr("resilience.solver.gn_nonfinite")
         if params.on_nonfinite == NONFINITE_RAISE:
             raise nonfinite_error(context, iteration)
         return _lm_fallback(graph, values, params, iteration, ordering,
-                            backend, budget, records)
+                            backend, guard, records)
 
     # The current iterate's error, once known: an accepted step
     # already computed it as error_after, so only the initial estimate
     # is evaluated.
     error = None
     for iteration in range(params.max_iterations):
-        budget.check(iteration)
+        guard.check(partial={"iteration": iteration})
         with trace.span("gn.iteration", category="optimizer",
                         iteration=iteration, backend=backend) as sp:
             error_before = graph.error(values) if error is None \
@@ -179,8 +204,8 @@ def gauss_newton(
             if not is_finite_scalar(error_before):
                 return degraded(iteration, "residual error")
             try:
-                if solver is not None:
-                    delta = solver.solve(graph, values, ordering)
+                if session is not None:
+                    delta = session.solve(graph, values, ordering)
                     stats = EliminationStats()
                 else:
                     linear = graph.linearize(values)
@@ -214,20 +239,6 @@ def gauss_newton(
         records.append(
             IterationRecord(iteration, error_before, error_after, norm, stats)
         )
-
-        if error_after < params.absolute_error_tol:
-            converged = True
-            break
-        if norm < params.step_tol:
-            converged = True
-            break
-        if error_before > 0.0:
-            relative = abs(error_before - error_after) / error_before
-            if relative < params.relative_error_tol:
-                converged = True
-                break
-
-    report = solver.degradation_report() if supervised else None
-    return OptimizationResult(values=values, converged=converged,
-                              iterations=records,
-                              degradation_report=report)
+        if converged(params, error_before, error_after, norm):
+            return solve_result(values, True, records, session)
+    return solve_result(values, False, records, session)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import FaultInjectionError, OptimizationError
+from repro.factorgraph.elimination import EliminationStats
 from repro.factorgraph.elimination import solve as eliminate_and_solve
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
@@ -28,11 +29,16 @@ from repro.factorgraph.linear import GaussianFactor, GaussianFactorGraph
 from repro.factorgraph.ordering import min_degree_ordering
 from repro.factorgraph.values import Values
 from repro.obs import counters, trace
-from repro.optim.gauss_newton import step_norm
+from repro.optim.gauss_newton import (
+    converged,
+    solve_result,
+    solve_session,
+    step_norm,
+)
 from repro.optim.probes import record_iteration
 from repro.optim.result import IterationRecord, OptimizationResult
 from repro.optim.safeguards import (
-    SolveBudget,
+    DeadlineGuard,
     clip_delta,
     delta_is_finite,
     is_finite_scalar,
@@ -79,53 +85,33 @@ def levenberg_marquardt(
 ) -> OptimizationResult:
     """Run LM on ``graph`` starting from ``initial``.
 
-    ``backend="compiled"`` solves every damped trial through the ORIANNA
-    compiler in one solve session (:class:`~repro.optim.compiled.
-    CompiledSolver`): damping is expressed as per-variable prior factors
-    at the current estimate (which linearize to exactly the
+    ``backend`` names the linear-solve session every damped trial runs
+    on (see :func:`~repro.optim.gauss_newton.solve_session`).  A
+    session expresses damping as per-variable prior factors at the
+    current estimate (:func:`~repro.optim.compiled.
+    damped_nonlinear_graph`, which linearize to exactly the
     ``sqrt(lambda) I`` rows of :func:`damped_graph`), so the damped
     graph's structure is the same for every iteration and every lambda
     trial — one compile, then in-place refreshes that also re-resolve
-    the fresh damping priors' constants.  The compiled backend reports
-    empty per-trial elimination stats.  ``backend="fused"`` is the
-    compiled backend executed through the fused vectorized plan
-    (:mod:`repro.compiler.fused`).
-    ``backend="supervised"`` runs every damped trial through a
-    :class:`~repro.resilience.supervisor.SupervisedSolver` with the
-    default configuration — deadlines, bounded retry, and the fallback
-    executor ladder.
+    the fresh damping priors' constants.
     """
     if params is None:
         params = LevenbergParams()
-    if backend not in ("reference", "compiled", "fused", "supervised"):
-        raise ValueError(f"unknown levenberg_marquardt backend {backend!r}")
-    solver = None
-    supervised = backend == "supervised"
-    if supervised:
-        from repro.factorgraph.elimination import EliminationStats
+    session = solve_session(backend)
+    if session is not None:
         from repro.optim.compiled import damped_nonlinear_graph
-        from repro.resilience.supervisor import SupervisedSolver
-
-        solver = SupervisedSolver()
-    elif backend in ("compiled", "fused"):
-        from repro.factorgraph.elimination import EliminationStats
-        from repro.optim.compiled import CompiledSolver, \
-            damped_nonlinear_graph
-
-        solver = CompiledSolver(
-            executor="fused" if backend == "fused" else None)
+    guard = DeadlineGuard(params.max_wall_clock_s,
+                          label="levenberg_marquardt")
     values = initial.copy()
     lam = params.initial_lambda
     records = []
-    converged = False
-    budget = SolveBudget(params.max_wall_clock_s, label="levenberg_marquardt")
 
     # The current iterate's error, once known: an accepted trial
     # already computed it as error_after, so only the initial estimate
     # is evaluated.
     error = None
     for iteration in range(params.max_iterations):
-        budget.check(iteration)
+        guard.check(partial={"iteration": iteration})
         with trace.span("lm.iteration", category="optimizer",
                         iteration=iteration, backend=backend) as sp:
             error_before = graph.error(values) if error is None \
@@ -136,7 +122,7 @@ def levenberg_marquardt(
                 # descend from.
                 counters.incr("resilience.solver.lm_nonfinite")
                 raise nonfinite_error("residual error", iteration)
-            if solver is None:
+            if session is None:
                 linear = graph.linearize(values)
                 order = list(ordering) if ordering is not None else (
                     min_degree_ordering(linear)
@@ -152,13 +138,13 @@ def levenberg_marquardt(
             accepted = False
             trials = 0
             while lam <= params.max_lambda:
-                budget.check(iteration)
+                guard.check(partial={"iteration": iteration})
                 trials += 1
                 try:
-                    if solver is not None:
+                    if session is not None:
                         trial_graph = damped_nonlinear_graph(graph, values,
                                                              lam)
-                        delta = solver.solve(trial_graph, values, order)
+                        delta = session.solve(trial_graph, values, order)
                         stats = EliminationStats()
                     else:
                         trial_linear = damped_graph(linear, lam)
@@ -214,22 +200,8 @@ def levenberg_marquardt(
                 raise OptimizationError(
                     "LM could not find a descending step at any damping"
                 )
-            converged = True  # stuck at a (local) minimum
-            break
-
-        if error_after < params.absolute_error_tol:
-            converged = True
-            break
-        if records[-1].step_norm < params.step_tol:
-            converged = True
-            break
-        if error_before > 0.0:
-            relative = abs(error_before - error_after) / error_before
-            if relative < params.relative_error_tol:
-                converged = True
-                break
-
-    report = solver.degradation_report() if supervised else None
-    return OptimizationResult(values=values, converged=converged,
-                              iterations=records,
-                              degradation_report=report)
+            # Stuck at a (local) minimum.
+            return solve_result(values, True, records, session)
+        if converged(params, error_before, error_after, norm):
+            return solve_result(values, True, records, session)
+    return solve_result(values, False, records, session)

@@ -1,4 +1,4 @@
-"""Solver safeguards: non-finite detection, step bounds, solve budgets.
+"""Solver safeguards: non-finite detection, step bounds, deadlines.
 
 Shared by :func:`~repro.optim.gauss_newton.gauss_newton` and
 :func:`~repro.optim.levenberg.levenberg_marquardt` so a corrupted
@@ -23,10 +23,9 @@ from repro.errors import DeadlineExceeded, OptimizationError
 def _validate_budget(name: str, value: Optional[float]) -> Optional[float]:
     """A wall-clock budget must be positive or None (no budget).
 
-    A zero or negative budget is always a caller bug: the old behavior
-    silently produced a budget that tripped on the very first check (or,
-    for the guard variants, never armed), which reads like "no budget"
-    at the call site but is not.
+    A zero or negative budget is always a caller bug: it would trip on
+    the very first check, which reads like "no budget" at the call site
+    but is not.
     """
     if value is None:
         return None
@@ -71,124 +70,83 @@ def clip_delta(delta: Dict, norm: float,
             for k, d in delta.items()}
 
 
-class SolveBudget:
-    """Wall-clock budget for one optimizer invocation.
-
-    ``check`` raises :class:`OptimizationError` once the budget is
-    exhausted — called at iteration boundaries (and LM trial
-    boundaries), so a diverging solve stops at a clean point instead of
-    hanging indefinitely.  A ``None`` budget never trips.
-    """
-
-    def __init__(self, max_wall_clock_s: Optional[float],
-                 label: str = "solve"):
-        self.max_wall_clock_s = _validate_budget("max_wall_clock_s",
-                                                 max_wall_clock_s)
-        self.label = label
-        self.started_s = time.perf_counter()
-
-    def elapsed_s(self) -> float:
-        return time.perf_counter() - self.started_s
-
-    def remaining_s(self) -> Optional[float]:
-        if self.max_wall_clock_s is None:
-            return None
-        return max(0.0, self.max_wall_clock_s - self.elapsed_s())
-
-    def check(self, iteration: int) -> None:
-        if self.max_wall_clock_s is None:
-            return
-        elapsed = self.elapsed_s()
-        if elapsed > self.max_wall_clock_s:
-            raise DeadlineExceeded(
-                f"{self.label} exceeded its wall-clock budget "
-                f"({elapsed:.3f}s > {self.max_wall_clock_s:.3f}s "
-                f"at iteration {iteration})",
-                phase="total", elapsed_s=elapsed,
-                deadline_s=self.max_wall_clock_s,
-                partial={"iteration": iteration},
-            )
-
-
 class DeadlineGuard:
-    """Per-phase wall-clock deadlines for one supervised solve.
+    """Wall-clock deadlines for one solve: a total and an execute deadline.
 
-    Where :class:`SolveBudget` bounds a whole optimizer invocation at
-    iteration boundaries, a guard bounds one *solve* at instruction-
-    group boundaries, with separate deadlines for the compile/rebind
-    phase, the execute phase, and the total.  The supervised executors
-    (:mod:`repro.resilience.supervisor`) call :meth:`check` between
-    instruction groups; campaign trials install one as their executor's
-    guard so a hung scenario fails instead of hanging CI.
+    The optimizer loops check the total deadline (their
+    ``max_wall_clock_s``) at iteration and LM trial boundaries, so a
+    diverging solve stops at a clean point instead of hanging, and
+    Gauss-Newton's LM fallback inherits :meth:`remaining_s`.  Executors
+    check the guard installed as their ``guard`` hook after every step
+    of their run loop (one instruction on the interpreter, one group on
+    the fused backend): the supervisor (:mod:`repro.resilience.
+    supervisor`) arms the execute deadline around each rung attempt,
+    and campaign trials install a total-only guard so a hung scenario
+    fails instead of hanging CI.
 
     ``check`` raises :class:`~repro.errors.DeadlineExceeded` carrying
-    the tripped phase, the measured times, and whatever partial-progress
-    mapping the caller passed — so the supervisor can decide between
-    demoting down the executor ladder (an execute deadline: this rung is
-    too slow) and aborting the solve (the total deadline: no time left
-    on any rung).
+    the tripped phase (``"total"`` or ``"execute"``), the measured
+    times, and whatever partial-progress mapping the caller passed — so
+    the supervisor can decide between demoting down the executor ladder
+    (an execute deadline: this rung is too slow) and aborting the solve
+    (the total deadline, which also covers compiling: no time left on
+    any rung).  A guard with neither deadline never trips.
     """
 
     def __init__(self, total_s: Optional[float] = None,
-                 compile_s: Optional[float] = None,
                  execute_s: Optional[float] = None,
                  label: str = "solve"):
         self.total_s = _validate_budget("total_s", total_s)
-        self.compile_s = _validate_budget("compile_s", compile_s)
         self.execute_s = _validate_budget("execute_s", execute_s)
         self.label = label
         self.started_s = time.perf_counter()
-        self.phase: Optional[str] = None
-        self._phase_started_s = self.started_s
-        self._phase_deadlines = {"compile": self.compile_s,
-                                 "execute": self.execute_s}
+        self._execute_started_s: Optional[float] = None
 
     @property
     def armed(self) -> bool:
         """Whether any deadline is configured at all."""
-        return (self.total_s is not None or self.compile_s is not None
-                or self.execute_s is not None)
+        return self.total_s is not None or self.execute_s is not None
 
-    def elapsed_s(self) -> float:
-        return time.perf_counter() - self.started_s
+    def remaining_s(self) -> Optional[float]:
+        """Seconds left before the total deadline; None without one."""
+        if self.total_s is None:
+            return None
+        return max(0.0,
+                   self.total_s - (time.perf_counter() - self.started_s))
 
-    def start_phase(self, phase: str) -> None:
-        """Enter a deadline phase (``"compile"`` or ``"execute"``).
+    def start_execute(self) -> None:
+        """Arm the execute deadline for one attempt.
 
-        The phase clock restarts on every entry, so each rung of a
+        The execute clock restarts on every call, so each rung of a
         fallback ladder gets the full execute deadline for its attempt.
         """
-        if phase not in self._phase_deadlines:
-            raise ValueError(f"unknown deadline phase {phase!r}")
-        self.phase = phase
-        self._phase_started_s = time.perf_counter()
+        self._execute_started_s = time.perf_counter()
 
-    def end_phase(self) -> None:
-        self.phase = None
+    def end_execute(self) -> None:
+        self._execute_started_s = None
 
     def check(self, partial=None) -> None:
-        """Raise :class:`DeadlineExceeded` if any armed deadline passed."""
+        """Raise :class:`DeadlineExceeded` if an armed deadline passed."""
         now = time.perf_counter()
         if self.total_s is not None:
             elapsed = now - self.started_s
             if elapsed > self.total_s:
                 raise DeadlineExceeded(
-                    f"{self.label} exceeded its total deadline "
+                    f"{self.label} exceeded its total wall-clock deadline "
                     f"({elapsed:.3f}s > {self.total_s:.3f}s)",
                     phase="total", elapsed_s=elapsed,
                     deadline_s=self.total_s, partial=partial,
                 )
-        if self.phase is not None:
-            deadline = self._phase_deadlines[self.phase]
-            if deadline is not None:
-                elapsed = now - self._phase_started_s
-                if elapsed > deadline:
-                    raise DeadlineExceeded(
-                        f"{self.label} exceeded its {self.phase} deadline "
-                        f"({elapsed:.3f}s > {deadline:.3f}s)",
-                        phase=self.phase, elapsed_s=elapsed,
-                        deadline_s=deadline, partial=partial,
-                    )
+        if self.execute_s is not None \
+                and self._execute_started_s is not None:
+            elapsed = now - self._execute_started_s
+            if elapsed > self.execute_s:
+                raise DeadlineExceeded(
+                    f"{self.label} exceeded its execute deadline "
+                    f"({elapsed:.3f}s > {self.execute_s:.3f}s)",
+                    phase="execute", elapsed_s=elapsed,
+                    deadline_s=self.execute_s, partial=partial,
+                )
 
 
 def nonfinite_error(context: str, iteration: int) -> OptimizationError:

@@ -15,7 +15,7 @@ model in :mod:`repro.sim`:
 - :mod:`repro.resilience.campaign` — seeded rate sweeps over the
   paper's applications with a Tbl. 5-style verdict table;
 - :mod:`repro.resilience.supervisor` — the supervised solve pipeline:
-  per-phase deadlines, bounded retry with backoff, a fused →
+  total and execute deadlines, bounded retry with backoff, a fused →
   interpreter → reference fallback ladder with per-structure circuit
   breakers, cache integrity checks, and an ABFT divergence sentinel;
 - :mod:`repro.resilience.chaos` — host-level fault injection (handler

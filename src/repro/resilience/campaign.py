@@ -108,9 +108,10 @@ def solution_registers(program) -> Tuple[str, ...]:
     return tuple(names)
 
 
-def max_relative_error(golden: Dict[str, np.ndarray],
-                       candidate: Dict[str, np.ndarray]) -> float:
-    """Worst register deviation, scaled per element; inf on NaN/missing."""
+def max_relative_error(golden: Dict, candidate: Dict) -> float:
+    """Worst per-element deviation ``|got - ref| / (1 + |ref|)`` over
+    ``golden``'s registers or solution keys; inf on a missing entry, a
+    shape mismatch or a non-finite value."""
     worst = 0.0
     for name, ref in golden.items():
         got = candidate.get(name)

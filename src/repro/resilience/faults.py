@@ -90,9 +90,6 @@ class FaultPlan:
             return None
         return self.events.get(uid)
 
-    def value_events(self) -> List[FaultEvent]:
-        return [e for e in self.events.values() if e.kind in VALUE_KINDS]
-
     def timing_events(self) -> List[FaultEvent]:
         return [e for e in self.events.values() if e.kind in TIMING_KINDS]
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import FaultInjectionError
 from repro.compiler.fused import executor_factory
-from repro.compiler.isa import Instruction, Program
+from repro.compiler.isa import Instruction, Opcode, Program
 from repro.obs import counters
 from repro.resilience import abft
 from repro.resilience.faults import FaultEvent, FaultPlan, inject_fault
@@ -84,10 +84,13 @@ class RecoveryHook:
         self._checkpoint: Tuple[int, int, Dict[str, np.ndarray]] = (0, 0, {})
         self._step = self._done = 0
         # Per-site accounting stays idempotent across checkpoint
-        # replays, which re-execute sites already counted.
+        # replays, which re-execute (and re-inject) sites already
+        # counted: each site is injected, detected, silent and
+        # recovered by retry at most once.
         self._injected_uids: set = set()
         self._detected_uids: set = set()
         self._silent_uids: set = set()
+        self._recovered_uids: set = set()
         self._restored_for: set = set()
 
     def __call__(self, executor, program: Program, indices) -> Optional[int]:
@@ -138,7 +141,8 @@ class RecoveryHook:
                     self._silent_uids.add(instr.uid)
                     self.stats.silent += 1
                     counters.incr("resilience.faults.silent")
-                if attempt > 0:
+                if attempt > 0 and instr.uid not in self._recovered_uids:
+                    self._recovered_uids.add(instr.uid)
                     self.stats.recovered_retry += 1
                     counters.incr("resilience.faults.recovered")
                 return False
@@ -160,14 +164,15 @@ class RecoveryHook:
             return self._recover_beyond_retry(instr, event)
 
     def _verify(self, executor, instr: Instruction) -> Optional[bool]:
-        """ABFT check, with the DMR fallback for uncovered opcodes."""
+        """ABFT check, with the DMR fallback for uncovered opcodes; a
+        CONST load is unchecked (None), as no fault plan targets one."""
         if self.policy.abft and abft.has_checker(instr.op):
             self.stats.abft_checks += 1
             counters.incr("resilience.abft.checks")
             return abft.check_instruction(instr, executor.read,
                                           rtol=self.policy.rtol,
                                           atol=self.policy.atol)
-        if not self.policy.dmr_fallback:
+        if not self.policy.dmr_fallback or instr.op is Opcode.CONST:
             return None
         # Dual modular redundancy in time: re-execute and compare.  A
         # transient fault on the first execution shows up as a

@@ -9,19 +9,19 @@ compiles the first graph, refreshes that program in place while the
 structure holds, and wraps each run in four layers of supervision:
 
 1. **Deadline enforcement** — a :class:`~repro.optim.safeguards.
-   DeadlineGuard` with per-phase (compile / execute / total) wall-clock
-   deadlines, installed as the rung executor's guard hook and checked
-   after every step of its run loop (one instruction on the
-   interpreter, one group on the fused backend).  An execute deadline
-   demotes down the ladder (this rung is too slow); the total deadline
-   aborts with a structured :class:`~repro.errors.DeadlineExceeded`
-   carrying partial progress.
+   DeadlineGuard` with a total and an execute wall-clock deadline,
+   installed as the rung executor's guard hook and checked after every
+   step of its run loop (one instruction on the interpreter, one group
+   on the fused backend).  An execute deadline demotes down the ladder
+   (this rung is too slow); the total deadline, which also covers
+   compiling, aborts with a structured :class:`~repro.errors.
+   DeadlineExceeded` carrying partial progress.
 2. **Bounded retry with exponential backoff + jitter** — transient
    failures (:class:`~repro.errors.FaultInjectionError`, handler
    exceptions surfacing as :class:`~repro.errors.ExecutionError`,
-   non-finite solutions) are retried up to ``max_attempts`` per rung.
-   Backoff delays come from a :func:`~repro.apps.seeding.stable_seed`-
-   seeded generator, so campaigns stay byte-reproducible.
+   non-finite solutions) are retried up to :data:`MAX_ATTEMPTS` times
+   per rung.  Backoff delays come from a :func:`~repro.apps.seeding.
+   stable_seed`-seeded generator, so campaigns stay byte-reproducible.
 3. **A fallback executor ladder** — fused → compiled interpreter →
    reference NumPy oracle.  A per-structure-fingerprint **circuit
    breaker** quarantines the fused plan after K consecutive failures
@@ -67,7 +67,7 @@ from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
 from repro.obs import counters, trace
 from repro.optim.compiled import CompiledSolver
-from repro.optim.safeguards import DeadlineGuard
+from repro.optim.safeguards import DeadlineGuard, delta_is_finite
 from repro.resilience import abft
 
 __all__ = [
@@ -97,14 +97,28 @@ DEFAULT_LADDER = (RUNG_FUSED, RUNG_INTERPRETER, RUNG_REFERENCE)
 RETRYABLE_ERRORS = (FaultInjectionError, ExecutionError, ValueError,
                     FloatingPointError, np.linalg.LinAlgError)
 
+# Bounded retry with exponential backoff + jitter, per rung.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.001
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
+
 # Circuit-breaker states (per structure fingerprint).
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
+# Quarantine the fused plan for a structure after this many consecutive
+# failures; re-probe (half-open) after the cool-down, counted in solve
+# requests so behavior is deterministic.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN = 8
 
 # Sentinel opcodes: the two checksum-covered op classes that dominate
-# the algebra (matrix products and QR fronts).
+# the algebra (matrix products and QR fronts), and the ABFT tolerances
+# their spot checks use.
 SENTINEL_OPCODES = (Opcode.MM, Opcode.QR)
+SENTINEL_RTOL = 1e-6
+SENTINEL_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -113,36 +127,17 @@ class SupervisorConfig:
 
     # Deadlines (None = unbounded); see DeadlineGuard for semantics.
     total_deadline_s: Optional[float] = None
-    compile_deadline_s: Optional[float] = None
     execute_deadline_s: Optional[float] = None
-    # Bounded retry with exponential backoff + jitter, per rung.
-    max_attempts: int = 3
-    backoff_base_s: float = 0.001
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
     # Master seed for backoff jitter and sentinel sampling.
     seed: int = 0
-    # Circuit breaker: quarantine the fused plan for a structure after
-    # this many consecutive failures; re-probe (half-open) after the
-    # cool-down, counted in solve requests so behavior is deterministic.
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 8
     # Divergence sentinel: ABFT spot checks on a sampled subset of
     # MM/QR instructions after each accelerated run (opt-in).
     sentinel: bool = False
     sentinel_rate: float = 0.25
-    sentinel_rtol: float = 1e-6
-    sentinel_atol: float = 1e-9
     # The fallback ladder, fastest rung first.
     ladder: Tuple[str, ...] = DEFAULT_LADDER
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ResilienceError("max_attempts must be >= 1")
-        if self.breaker_threshold < 1:
-            raise ResilienceError("breaker_threshold must be >= 1")
-        if self.breaker_cooldown < 1:
-            raise ResilienceError("breaker_cooldown must be >= 1")
         if not self.ladder:
             raise ResilienceError("the executor ladder cannot be empty")
         unknown = [r for r in self.ladder if r not in DEFAULT_LADDER]
@@ -150,23 +145,6 @@ class SupervisorConfig:
             raise ResilienceError(f"unknown ladder rungs {unknown!r}")
         if not 0.0 <= self.sentinel_rate <= 1.0:
             raise ResilienceError("sentinel_rate must be in [0, 1]")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "total_deadline_s": self.total_deadline_s,
-            "compile_deadline_s": self.compile_deadline_s,
-            "execute_deadline_s": self.execute_deadline_s,
-            "max_attempts": self.max_attempts,
-            "backoff_base_s": self.backoff_base_s,
-            "backoff_factor": self.backoff_factor,
-            "backoff_jitter": self.backoff_jitter,
-            "seed": self.seed,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown": self.breaker_cooldown,
-            "sentinel": self.sentinel,
-            "sentinel_rate": self.sentinel_rate,
-            "ladder": list(self.ladder),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +166,7 @@ class CircuitBreaker:
       the breaker, failure re-opens it for another cool-down.
     """
 
-    def __init__(self, threshold: int = 3, cooldown: int = 8):
+    def __init__(self, threshold: int, cooldown: int):
         self.threshold = threshold
         self.cooldown = cooldown
         self._states: Dict[str, str] = {}
@@ -321,9 +299,10 @@ class SupervisedSolver:
 
     A drop-in for :class:`~repro.optim.compiled.CompiledSolver` —
     ``solve(graph, values, ordering)`` returns the same update dict —
-    selected by ``backend="supervised"`` on the optimizer loops (with
-    the default :class:`SupervisorConfig`), or built directly with a
-    config of one's own, as the chaos campaign does.  Every compiled
+    made by :func:`~repro.optim.gauss_newton.solve_session` for
+    ``backend="supervised"`` (with the default :class:`SupervisorConfig`),
+    or built directly with a config of one's own, as the chaos campaign
+    does.  Every compiled
     rung runs the program of :attr:`session`, the one solve session
     this solver owns.
 
@@ -338,8 +317,7 @@ class SupervisedSolver:
                  injectors: Optional[Dict[str, Injector]] = None):
         self.config = config if config is not None else SupervisorConfig()
         self.session = CompiledSolver()
-        self.breaker = CircuitBreaker(self.config.breaker_threshold,
-                                      self.config.breaker_cooldown)
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
         self._sleep = sleep
         self._injectors = dict(injectors or {})
         self._solve_index = 0
@@ -357,7 +335,6 @@ class SupervisedSolver:
 
         config = self.config
         guard = DeadlineGuard(total_s=config.total_deadline_s,
-                              compile_s=config.compile_deadline_s,
                               execute_s=config.execute_deadline_s,
                               label="supervised solve")
         index = self._solve_index
@@ -494,48 +471,42 @@ class SupervisedSolver:
         )
 
     def _compile_checked(self, graph, values, ordering, guard, report):
-        """Refresh or compile the session's program under the compile
+        """Refresh or compile the session's program under the total
         deadline; a refreshed program must pass the integrity check."""
         session = self.session
-        guard.start_phase("compile")
-        try:
-            refreshed = session.prepare(graph, values, ordering)
-            guard.check(partial={"stage": "compiled"})
-            if refreshed:
-                complaints = verify_template_integrity(session.compiled)
-                if complaints:
-                    report.event("cache_eviction", "compile", 0,
-                                 complaints[0])
-                    counters.incr("resilience.supervisor.cache_evictions")
-                    session.compiled = None
-                    session.prepare(graph, values, ordering)
-                    guard.check(partial={"stage": "recompiled"})
-                    remaining = verify_template_integrity(session.compiled)
-                    if remaining:
-                        raise ResilienceError(
-                            "cold recompile still fails integrity checks: "
-                            + "; ".join(remaining)
-                        )
-        finally:
-            guard.end_phase()
+        refreshed = session.prepare(graph, values, ordering)
+        guard.check(partial={"stage": "compiled"})
+        if refreshed:
+            complaints = verify_template_integrity(session.compiled)
+            if complaints:
+                report.event("cache_eviction", "compile", 0, complaints[0])
+                counters.incr("resilience.supervisor.cache_evictions")
+                session.compiled = None
+                session.prepare(graph, values, ordering)
+                guard.check(partial={"stage": "recompiled"})
+                remaining = verify_template_integrity(session.compiled)
+                if remaining:
+                    raise ResilienceError(
+                        "cold recompile still fails integrity checks: "
+                        + "; ".join(remaining)
+                    )
         return session.compiled
 
     def _run_rung(self, rung, compiled, graph, values, ordering, guard,
                   report, index):
         """All attempts of one ladder rung; raises _RungFailed to demote."""
-        config = self.config
         backoff_rng = None
-        for attempt in range(config.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             report.attempts += 1
             counters.incr("resilience.supervisor.attempts")
-            guard.start_phase("execute")
+            guard.start_execute()
             try:
                 delta = self._execute_once(rung, compiled, graph, values,
                                            ordering, guard)
             except RETRYABLE_ERRORS as exc:
                 report.event("retryable_failure", rung, attempt,
                              type(exc).__name__)
-                if attempt + 1 >= config.max_attempts:
+                if attempt + 1 >= MAX_ATTEMPTS:
                     report.event("retries_exhausted", rung, attempt, "")
                     raise _RungFailed(exc)
                 backoff_rng = self._backoff(rung, attempt, index, report,
@@ -550,13 +521,13 @@ class SupervisedSolver:
                     raise _RungFailed(exc)
                 report.event("deadline_exceeded", rung, attempt,
                              f"{exc.phase} deadline exceeded")
-                raise  # total/compile deadline: nothing left to try
+                raise  # total deadline: nothing left to try
             finally:
-                guard.end_phase()
+                guard.end_execute()
 
-            if not self._delta_finite(delta):
+            if not delta_is_finite(delta):
                 report.event("nonfinite_solution", rung, attempt, "")
-                if attempt + 1 >= config.max_attempts:
+                if attempt + 1 >= MAX_ATTEMPTS:
                     report.event("retries_exhausted", rung, attempt, "")
                     raise _RungFailed(FaultInjectionError(
                         f"{rung} rung produced a non-finite solution"))
@@ -564,7 +535,7 @@ class SupervisedSolver:
                                             backoff_rng)
                 continue
 
-            if config.sentinel and rung != RUNG_REFERENCE:
+            if self.config.sentinel and rung != RUNG_REFERENCE:
                 divergent = self._sentinel_check(compiled, report.fingerprint,
                                                  index)
                 if divergent:
@@ -611,15 +582,12 @@ class SupervisedSolver:
 
     # -- retry/backoff -------------------------------------------------
     def _backoff(self, rung, attempt, index, report, rng):
-        config = self.config
         if rng is None:
             rng = np.random.default_rng(stable_seed(
                 "supervisor.backoff", report.fingerprint, index,
-                config.seed))
-        delay = config.backoff_base_s * (config.backoff_factor ** attempt)
-        if config.backoff_jitter:
-            delay *= 1.0 + config.backoff_jitter * float(
-                rng.uniform(-1.0, 1.0))
+                self.config.seed))
+        delay = BACKOFF_BASE_S * (BACKOFF_FACTOR ** attempt)
+        delay *= 1.0 + BACKOFF_JITTER * float(rng.uniform(-1.0, 1.0))
         report.event("retry", rung, attempt, f"backoff={delay:.6f}s")
         counters.incr("resilience.supervisor.retries")
         self._sleep(delay)
@@ -653,20 +621,12 @@ class SupervisedSolver:
             counters.incr("resilience.supervisor.sentinel_checks")
             try:
                 verdict = abft.check_instruction(
-                    instr, read, rtol=self.config.sentinel_rtol,
-                    atol=self.config.sentinel_atol)
+                    instr, read, rtol=SENTINEL_RTOL, atol=SENTINEL_ATOL)
             except KeyError:  # pragma: no cover - defensive
                 continue
             if verdict is False:
                 return f"ABFT checksum failed on {instr.describe()}"
         return ""
-
-    @staticmethod
-    def _delta_finite(delta: Dict) -> bool:
-        for value in delta.values():
-            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-                return False
-        return True
 
 
 class _RungFailed(Exception):

@@ -43,8 +43,8 @@ def chain(value_seed=0, num_poses=3, space=3, sigma=0.2, with_gps=False):
     return graph, values
 
 
-def fingerprint(graph, values, ordering=None, extra=()):
-    return graph_structure(graph, values, ordering, extra).fingerprint
+def fingerprint(graph, values, ordering=None):
+    return graph_structure(graph, values, ordering).fingerprint
 
 
 class TestKeying:
@@ -90,11 +90,6 @@ class TestKeying:
         v2 = values.copy()
         v2.insert(Y(0), np.zeros(2))
         assert fingerprint(graph, values) != fingerprint(g2, v2)
-
-    def test_extra_tokens_partition_the_cache(self):
-        graph, values = chain(0)
-        assert fingerprint(graph, values, extra=("8bit",)) \
-            != fingerprint(graph, values, extra=("16bit",))
 
 
 class TestRebind:

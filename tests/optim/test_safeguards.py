@@ -1,4 +1,4 @@
-"""Solver safeguards: non-finite guards, fallback, budgets, step bounds."""
+"""Solver safeguards: non-finite guards, fallback, deadlines, step bounds."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.optim import (
     GaussNewtonParams,
     LevenbergParams,
     NONFINITE_RAISE,
-    SolveBudget,
+    DeadlineGuard,
     clip_delta,
     delta_is_finite,
     gauss_newton,
@@ -48,27 +48,31 @@ class TestPrimitives:
         assert clip_delta(delta, 5.0, 10.0) is delta
 
     def test_budget_trips_after_deadline(self):
-        budget = SolveBudget(1e-9, label="test-solve")
+        # The optimizer loops' budget is the guard's total deadline.
         import time
 
+        budget = DeadlineGuard(1e-9, label="test-solve")
+        assert budget.remaining_s() is not None
         time.sleep(0.002)
-        with pytest.raises(OptimizationError, match="wall-clock"):
-            budget.check(3)
-        assert SolveBudget(None).check(0) is None  # never trips
+        assert budget.remaining_s() == 0.0
+        with pytest.raises(OptimizationError, match="wall-clock") as info:
+            budget.check(partial={"iteration": 3})
+        assert info.value.partial == {"iteration": 3}
+        unbounded = DeadlineGuard()
+        assert unbounded.check() is None  # never trips
+        assert unbounded.remaining_s() is None
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"),
                                      float("inf")])
     def test_budget_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError, match="positive"):
-            SolveBudget(bad)
+            DeadlineGuard(bad)
 
     def test_deadline_guard_rejects_nonpositive(self):
-        from repro.optim.safeguards import DeadlineGuard
-
         with pytest.raises(ValueError, match="positive"):
             DeadlineGuard(total_s=0.0)
         with pytest.raises(ValueError, match="positive"):
-            DeadlineGuard(compile_s=-2.0)
+            DeadlineGuard(execute_s=-2.0)
         with pytest.raises(ValueError, match="positive"):
             DeadlineGuard(execute_s=float("nan"))
 
@@ -76,7 +80,6 @@ class TestPrimitives:
         import time
 
         from repro.errors import DeadlineExceeded
-        from repro.optim.safeguards import DeadlineGuard
 
         guard = DeadlineGuard()
         assert not guard.armed
@@ -84,31 +87,28 @@ class TestPrimitives:
 
         guard = DeadlineGuard(execute_s=1e-9)
         assert guard.armed
-        guard.check()  # no phase active: execute deadline dormant
-        guard.start_phase("execute")
+        guard.check()  # no attempt running: execute deadline dormant
+        guard.start_execute()
         time.sleep(0.002)
         with pytest.raises(DeadlineExceeded) as info:
             guard.check(partial={"groups": 7})
         assert info.value.phase == "execute"
         assert info.value.partial == {"groups": 7}
-        guard.end_phase()
-        guard.check()  # phase over: dormant again
+        guard.end_execute()
+        guard.check()  # attempt over: dormant again
 
-        # Each phase entry restarts the phase clock.
+        # Each attempt restarts the execute clock.
         guard2 = DeadlineGuard(execute_s=10.0)
-        guard2.start_phase("execute")
+        guard2.start_execute()
         guard2.check()
-        with pytest.raises(ValueError, match="unknown deadline phase"):
-            guard2.start_phase("warmup")
 
     def test_deadline_guard_total_trips_in_any_phase(self):
         import time
 
         from repro.errors import DeadlineExceeded
-        from repro.optim.safeguards import DeadlineGuard
 
-        guard = DeadlineGuard(total_s=1e-9)
-        guard.start_phase("compile")
+        guard = DeadlineGuard(total_s=1e-9, execute_s=10.0)
+        guard.start_execute()
         time.sleep(0.002)
         with pytest.raises(DeadlineExceeded) as info:
             guard.check()

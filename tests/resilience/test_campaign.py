@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.compiler.fused import default_executor_name
+from repro.compiler.fused import (
+    EXECUTOR_ENV,
+    EXECUTOR_FUSED,
+    EXECUTOR_INTERPRETER,
+    default_executor_name,
+)
 from repro.errors import ResilienceError
 from repro.eval.harness import ExperimentTable
 from repro.resilience.campaign import (
@@ -82,6 +87,19 @@ class TestCampaign:
                      if i.op is Opcode.BSUB for d in i.dsts}
         assert set(names) == bsub_dsts
         assert names
+
+    @pytest.mark.parametrize("backend", [EXECUTOR_INTERPRETER,
+                                         EXECUTOR_FUSED])
+    def test_replayed_sites_are_recovered_once(self, backend, monkeypatch):
+        # Persistent faults force checkpoint replays, which re-execute
+        # (and re-inject) sites recovered by retry before the restore;
+        # each site still counts as recovered at most once.
+        monkeypatch.setenv(EXECUTOR_ENV, backend)
+        spec = CampaignSpec(fault_model="mixed", persistent_fraction=0.2)
+        table, _ = run_campaign(tiny_config(rates=(0.02, 0.05), trials=1,
+                                            spec=spec))
+        assert [row["recovered_rate"] <= row["detected_rate"]
+                for row in table.rows] == [True, True]
 
     def test_fault_free_campaign_is_all_success(self):
         table, _ = run_campaign(tiny_config(rates=(0.0,), trials=1))

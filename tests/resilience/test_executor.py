@@ -65,6 +65,14 @@ class OnInterpreter:
         monkeypatch.setenv(EXECUTOR_ENV, self.backend)
 
 
+@pytest.fixture(scope="module")
+def mobile_robot_frame():
+    from repro.apps import all_applications
+
+    (app,) = [a for a in all_applications() if a.name == "MobileRobot"]
+    return app.compile_frame(0)
+
+
 class TestCleanPath(OnInterpreter):
     def test_no_plan_matches_plain_executor_bit_exactly(self, program,
                                                         golden):
@@ -74,6 +82,20 @@ class TestCleanPath(OnInterpreter):
         assert stats.detected == 0
         assert stats.recovered == 0
         assert stats.escalated == 0
+
+    def test_dmr_skips_constant_loads(self, mobile_robot_frame):
+        # No fault plan targets a CONST, so DMR re-executes only the
+        # other opcodes without an ABFT checker.
+        from repro.resilience.abft import has_checker
+
+        frame = mobile_robot_frame
+        unchecked = [i for i in frame.instructions
+                     if not has_checker(i.op)]
+        computed = [i for i in unchecked if i.op is not Opcode.CONST]
+        assert (len(unchecked), len(computed)) == (1373, 47)
+        registers, stats = execute_with_faults(frame, FaultPlan({}))
+        assert stats.dmr_checks == len(computed)
+        assert same_registers(registers, executor_factory()().run(frame))
 
 
 class TestRetryRecovery(OnInterpreter):

@@ -16,6 +16,7 @@ from repro.factorgraph.ordering import min_degree_ordering
 from repro.factors import BetweenFactor, PriorFactor
 from repro.geometry import Pose
 from repro.optim.compiled import CompiledSolver
+from repro.resilience import supervisor
 from repro.resilience.supervisor import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -108,10 +109,6 @@ class TestCircuitBreaker:
 # ----------------------------------------------------------------------
 
 class TestSupervisorConfig:
-    def test_rejects_bad_attempts(self):
-        with pytest.raises(ResilienceError):
-            SupervisorConfig(max_attempts=0)
-
     def test_rejects_unknown_rungs(self):
         with pytest.raises(ResilienceError, match="unknown ladder"):
             SupervisorConfig(ladder=("gpu",))
@@ -186,15 +183,15 @@ class TestSupervisedSolver:
         for key in golden:
             assert np.array_equal(delta[key], golden[key])
 
-    def test_every_rung_failing_raises(self, problem):
+    def test_every_rung_failing_raises(self, problem, monkeypatch):
         graph, values = problem
 
         def explode(executor, program, indices):
             raise ExecutionError("injected")
 
+        monkeypatch.setattr(supervisor, "MAX_ATTEMPTS", 1)
         solver = SupervisedSolver(
-            config=SupervisorConfig(ladder=(RUNG_FUSED, RUNG_INTERPRETER),
-                                    max_attempts=1),
+            config=SupervisorConfig(ladder=(RUNG_FUSED, RUNG_INTERPRETER)),
             sleep=no_sleep,
             injectors={RUNG_FUSED: explode, RUNG_INTERPRETER: explode})
         with pytest.raises((FaultInjectionError, ExecutionError)):
@@ -270,15 +267,17 @@ class TestSupervisedSolver:
         for key in golden:
             assert np.array_equal(delta[key], golden[key])
 
-    def test_breaker_quarantines_and_reprobes(self, problem, golden):
+    def test_breaker_quarantines_and_reprobes(self, problem, golden,
+                                              monkeypatch):
         graph, values = problem
 
         def persistent(executor, program, indices):
             raise ExecutionError("injected")
 
-        config = SupervisorConfig(max_attempts=1, breaker_threshold=2,
-                                  breaker_cooldown=2)
-        solver = SupervisedSolver(config=config, sleep=no_sleep,
+        monkeypatch.setattr(supervisor, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(supervisor, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(supervisor, "BREAKER_COOLDOWN", 2)
+        solver = SupervisedSolver(sleep=no_sleep,
                                   injectors={RUNG_FUSED: persistent})
         # Two failing solves open the breaker.
         solver.solve(graph, values)
