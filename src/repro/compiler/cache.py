@@ -354,16 +354,12 @@ def _rename(template, name: str):
     program.register_shapes = {rmap[reg]: shape
                                for reg, shape in old.register_shapes.items()}
     for instr in old.instructions:
-        meta = instr.meta
-        if instr.op is Opcode.QR:
-            meta = dict(meta, sources=[{**source, "reg": rmap[source["reg"]]}
-                                       for source in meta["sources"]])
         program.instructions.append(Instruction(
             uid=instr.uid,
             op=instr.op,
             srcs=[rmap[s] for s in instr.srcs],
             dsts=[rmap[d] for d in instr.dsts],
-            meta=meta,
+            meta=instr.meta,
             phase=instr.phase,
             algorithm=name,
             provenance=instr.provenance,

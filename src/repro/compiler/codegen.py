@@ -371,7 +371,7 @@ def _compile_graph(graph: FactorGraph, values: Values,
                 str(k): (b.cols[k][0], dst_start[k], b.cols[k][1])
                 for k in b.cols
             }
-            sources.append({"reg": b.reg, "rows": b.rows, "cols": cols})
+            sources.append({"rows": b.rows, "cols": cols})
 
         cond_reg = program.new_register("cond", (frontal_dim, total_cols + 1))
         dsts = [cond_reg]
@@ -393,12 +393,11 @@ def _compile_graph(graph: FactorGraph, values: Values,
                                 node_kind="qr"):
             program.emit(
                 Opcode.QR,
-                [s["reg"] for s in sources],
+                [b.reg for b in adjacent],
                 dsts,
                 {
                     "frontal_dim": frontal_dim,
                     "total_cols": total_cols,
-                    "col_layout": [(str(k), s, d) for k, s, d in col_layout],
                     "sources": sources,
                     "marginal_rows": marginal_rows,
                     "variable": str(key),

@@ -30,6 +30,32 @@ from repro.obs.core import is_enabled as _obs_enabled
 Injector = Callable[["Executor", Program, Sequence[int]], Optional[int]]
 
 
+def assemble_qr_front(instr: Instruction,
+                      read: Callable[[str], np.ndarray]) -> np.ndarray:
+    """The elimination front a QR factors: operand ``srcs[i]`` is the
+    row block ``meta["sources"][i]``, whose ``cols`` scatter its column
+    ranges and whose RHS (last column) goes to the last column."""
+    sources = instr.meta["sources"]   # [{rows, cols: {label: (s, d, dim)}}]
+    total_cols = instr.meta["total_cols"]  # excluding the rhs column
+    stacked = np.zeros((sum(s["rows"] for s in sources), total_cols + 1))
+    row = 0
+    for reg, source in zip(instr.srcs, sources):
+        rows = source["rows"]
+        block = read(reg)
+        if block.ndim != 2 or block.shape[0] != rows:
+            raise ExecutionError(
+                f"row block {reg} has shape {block.shape}, "
+                f"expected {rows} rows"
+            )
+        for src_start, dst_start, dim in source["cols"].values():
+            stacked[row : row + rows, dst_start : dst_start + dim] = (
+                block[:, src_start : src_start + dim]
+            )
+        stacked[row : row + rows, total_cols] = block[:, -1]
+        row += rows
+    return stacked
+
+
 class Executor:
     """Executes a :class:`Program`, holding the register file.
 
@@ -265,33 +291,9 @@ class Executor:
         self._write(instr, *outputs)
 
     def _op_qr(self, instr):
-        layout = instr.meta["col_layout"]      # [(col_label, start, dim)]
-        sources = instr.meta["sources"]        # [{reg, rows, cols:{label:(s,d)}}]
         frontal_dim = instr.meta["frontal_dim"]
-        total_cols = instr.meta["total_cols"]  # excluding the rhs column
-        del layout  # layout is for downstream consumers; assembly uses sources
-
-        rows = sum(s["rows"] for s in sources)
-        stacked = np.zeros((rows, total_cols + 1))
-        row = 0
-        for source in sources:
-            block = self.read(source["reg"])
-            if block.ndim != 2 or block.shape[0] != source["rows"]:
-                raise ExecutionError(
-                    f"row block {source['reg']} has shape {block.shape}, "
-                    f"expected {source['rows']} rows"
-                )
-            for label, (src_start, dst_start, dim) in source["cols"].items():
-                del label
-                stacked[row : row + source["rows"],
-                        dst_start : dst_start + dim] = (
-                    block[:, src_start : src_start + dim]
-                )
-            # RHS travels in the last column of every row block.
-            stacked[row : row + source["rows"], total_cols] = block[:, -1]
-            row += source["rows"]
-
-        _, r = np.linalg.qr(stacked, mode="reduced")
+        _, r = np.linalg.qr(assemble_qr_front(instr, self.read),
+                            mode="reduced")
         conditional = r[:frontal_dim, :]
         if _obs_enabled():
             from repro.optim.probes import record_qr_condition

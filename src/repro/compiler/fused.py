@@ -8,17 +8,18 @@ block op (``tests/compiler/test_fused_dispatch_counts.py`` pins the
 resulting dispatch counts):
 
 - :func:`build_plan` lowers a compiled program **once** into a
-  :class:`FusedPlan`: the def-use DAG is level-ized with
-  :meth:`Program.levels` (two non-CONST instructions on the same level
-  cannot depend on each other), and each level's same-opcode groups are
-  split by an exact *batch signature* (operand shapes plus the meta
-  fields that change the computation — VP sign, MM/MV negate, STACK
-  axis, QR front layout, BSUB parent layout — and, for products, which
-  operands are transposed RT views).  Uniform groups become one
-  batched NumPy block op (stacked ``matmul`` on 3-D arrays, vectorized
-  adds/copies/stacks, stacked-front QR, batched back-substitution);
-  singleton or irregular groups (EMBED host calls, the so(2)/so(3)
-  special functions) fall back to the per-instruction handlers.
+  :class:`FusedPlan`: the def-use DAG is level-ized by the program's
+  :class:`~repro.compiler.isa.DefUse` (two non-CONST instructions on
+  the same level cannot depend on each other), and each level's
+  same-opcode groups are split by an exact *batch signature* (operand
+  shapes plus the meta fields that change the computation — VP sign,
+  MM/MV negate, STACK axis, QR front layout, BSUB parent layout — and,
+  for products, which operands are transposed RT views).  Uniform
+  groups become one batched NumPy block op (stacked ``matmul`` on 3-D
+  arrays, vectorized adds/copies/stacks, stacked-front QR, batched
+  back-substitution); singleton or irregular groups (EMBED host calls,
+  the so(2)/so(3) special functions) fall back to the per-instruction
+  handlers.
 - Batch steps are **chained through slabs**: each step keeps its 3-D
   output block, and a consumer whose operands are exactly a producer's
   outputs gathers with one precompiled fancy index (or reuses the
@@ -795,7 +796,7 @@ def build_plan(program: Program) -> FusedPlan:
     solve-session refreshes: the plan references instructions by
     position and registers by name, both invariant under new numerics.
     """
-    levels = program.levels()
+    levels = program.def_use().levels
     const_sites: List[Tuple[int, str]] = []
     by_level: Dict[int, List[Tuple[int, Instruction]]] = {}
     for position, instr in enumerate(program.instructions):
@@ -827,11 +828,10 @@ def build_plan(program: Program) -> FusedPlan:
             instrs = [i for _, i in members]
             first = instrs[0]
             if first.op is Opcode.QR and key[2] is not None:
-                gathers = []
-                for position in range(len(first.meta["sources"])):
-                    names = [m.meta["sources"][position]["reg"]
-                             for m in instrs]
-                    gathers.append(builder.make_gather(names))
+                gathers = [
+                    builder.make_gather([m.srcs[position] for m in instrs])
+                    for position in range(len(first.srcs))
+                ]
                 port = builder.new_port([m.dsts[0] for m in instrs])
                 marg_port = -1
                 if len(first.dsts) == 2:

@@ -15,6 +15,7 @@ the BFS level analysis of Fig. 11.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -159,15 +160,81 @@ class Instruction:
         return f"#{self.uid} {self.op.value} {srcs} -> {dsts}"
 
 
+class DefUse:
+    """A program's register def-use, every list indexed by uid (which is
+    the position); one per structure slot (:meth:`Program.def_use`),
+    read-only once built.
+
+    ``producers[uid]``: the uids defining ``uid``'s sources (ascending,
+    each once).  ``levels[uid]``: its BFS level (Fig. 11's L1, L2...),
+    zero for a CONST load, which adds no level to its consumers either,
+    else one past its deepest producer (1 with none).  The fused plan
+    reads only these; ``consumers`` (ascending), ``units`` (unit
+    classes) and ``registers`` (per register a non-CONST defines, its
+    ``(producer, readers, words)``: reader uids ascending, each once),
+    which only the simulator, its critical path and the datapath
+    generator read, are built on first read.
+    """
+
+    __slots__ = ("size", "producers", "levels", "consumers", "units",
+                 "registers", "_instructions", "_shapes")
+
+    def __init__(self, program: "Program"):
+        self._instructions = instructions = program.instructions
+        self._shapes = program.register_shapes
+        self.size = len(instructions)
+        self.producers = producers = []
+        self.levels = levels = []
+        producer: Dict[str, int] = {}
+        reach = []  # consumers of uid sit at level reach[uid] or deeper
+        for uid, instr in enumerate(instructions):
+            preds = sorted({producer[s] for s in instr.srcs
+                            if s in producer})
+            producers.append(preds)
+            const = instr.op is Opcode.CONST
+            level = 0 if const else max([reach[d] for d in preds], default=1)
+            levels.append(level)
+            reach.append(level if const else level + 1)
+            for dst in instr.dsts:
+                producer[dst] = uid
+
+    def __getattr__(self, name: str):
+        # Only unset slots get here: build the parts read on first use.
+        if name not in ("consumers", "units", "registers"):
+            raise AttributeError(name)
+        self._build_uses()
+        return getattr(self, name)
+
+    def _build_uses(self) -> None:
+        self.consumers = consumers = [[] for _ in range(self.size)]
+        for uid, preds in enumerate(self.producers):
+            for pred in preds:
+                consumers[pred].append(uid)
+        self.units = units = []
+        self.registers = registers = {}
+        # Program.extend appends in place after detaching the slot, so
+        # only the first ``size`` instructions are this structure's.
+        for uid, instr in zip(range(self.size), self._instructions):
+            units.append(UNIT_OF_OPCODE[instr.op])
+            for src in set(instr.srcs):
+                use = registers.get(src)
+                if use is not None:
+                    use[1].append(uid)
+            if instr.op is not Opcode.CONST:
+                for dst in instr.dsts:
+                    registers[dst] = (uid, [], math.prod(self._shapes[dst]))
+
+
 class StructureSlot:
     """What every program of one structure shares: work that depends on
     the instruction stream's shape, never on its numerics.
 
-    ``plan`` is the fused plan (:func:`repro.compiler.fused.plan_for`)
-    and ``sim`` the simulator's per-uid tables and its last few
-    fault-free outcomes per configuration
-    (:meth:`repro.sim.engine.Simulator.run`); each owner fills its
-    field on first use.  ``value_sites`` lists the positions
+    ``def_use`` is the register def-use analysis
+    (:meth:`Program.def_use`), ``plan`` the fused plan
+    (:func:`repro.compiler.fused.plan_for`) and ``sim`` the simulator's
+    per-uid costs and its last few fault-free outcomes per
+    configuration (:meth:`repro.sim.engine.Simulator.run`); each owner
+    fills its field on first use.  ``value_sites`` lists the positions
     :func:`repro.compiler.cache.rebind` clones, and ``template`` is a
     frame slot's first merged program, which the compilation cache
     rebinds for every later frame of the structure.  ``key`` is the
@@ -177,10 +244,11 @@ class StructureSlot:
     running another structure's plan.
     """
 
-    __slots__ = ("key", "plan", "sim", "value_sites", "template")
+    __slots__ = ("key", "def_use", "plan", "sim", "value_sites", "template")
 
     def __init__(self, key: Optional[Tuple] = None):
         self.key = key
+        self.def_use: Optional[DefUse] = None
         self.plan: Any = None
         self.sim: Any = None
         self.value_sites: Optional[List[int]] = None
@@ -232,6 +300,15 @@ class Program:
         """Share ``slot``; callers key the program with
         :attr:`structure_key` equal to ``slot.key``."""
         self._slot = slot
+
+    def def_use(self) -> DefUse:
+        """The def-use analysis in this program's structure slot, built
+        on first use and whenever the instruction count changed."""
+        slot = self.structure_slot()
+        analysis = slot.def_use
+        if analysis is None or analysis.size != len(self.instructions):
+            analysis = slot.def_use = DefUse(self)
+        return analysis
 
     # ------------------------------------------------------------------
     # Emission
@@ -308,39 +385,20 @@ class Program:
         return counts
 
     def dependencies(self) -> Dict[int, List[int]]:
-        """Map uid -> uids of instructions it depends on (register def-use)."""
-        producer: Dict[str, int] = {}
-        deps: Dict[int, List[int]] = {}
-        for instr in self.instructions:
-            deps[instr.uid] = sorted(
-                {producer[s] for s in instr.srcs if s in producer}
-            )
-            for d in instr.dsts:
-                producer[d] = instr.uid
-        return deps
+        """Map uid -> uids of instructions it depends on (register
+        def-use; :attr:`DefUse.producers`)."""
+        return dict(enumerate(self.def_use().producers))
 
     def levels(self) -> Dict[int, int]:
-        """BFS dependency level of each instruction (Fig. 11's L1, L2...).
+        """BFS dependency level of each instruction (Fig. 11's L1, L2...;
+        :attr:`DefUse.levels`).
 
         Zero-latency CONST loads do not occupy a level of their own.
         """
-        deps = self.dependencies()
-        level: Dict[int, int] = {}
-        for instr in self.instructions:
-            if instr.op is Opcode.CONST:
-                level[instr.uid] = 0
-                continue
-            preds = [level[d] + (0 if self._op_of(d) is Opcode.CONST else 1)
-                     for d in deps[instr.uid]]
-            level[instr.uid] = max(preds, default=1) if preds else 1
-        return level
+        return dict(enumerate(self.def_use().levels))
 
     def critical_path_length(self) -> int:
-        lv = self.levels()
-        return max(lv.values(), default=0)
-
-    def _op_of(self, uid: int) -> Opcode:
-        return self.instructions[uid].op
+        return max(self.def_use().levels, default=0)
 
     def disassemble(self, limit: Optional[int] = None,
                     show_levels: bool = True) -> str:

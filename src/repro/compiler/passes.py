@@ -94,20 +94,12 @@ def _cse(program: Program) -> Program:
                     )
                 continue
 
-        new_srcs = [canonical.get(s, s) for s in instr.srcs]
-        meta = dict(instr.meta)
-        if instr.op is Opcode.QR:
-            meta["sources"] = [
-                {**source, "reg": canonical.get(source["reg"],
-                                                source["reg"])}
-                for source in meta["sources"]
-            ]
         clone = Instruction(
             uid=len(out.instructions),
             op=instr.op,
-            srcs=new_srcs,
+            srcs=[canonical.get(s, s) for s in instr.srcs],
             dsts=list(instr.dsts),
-            meta=meta,
+            meta=dict(instr.meta),
             phase=instr.phase,
             algorithm=instr.algorithm,
             provenance=instr.provenance,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Tuple
 
-from repro.compiler.isa import Opcode, Program, UNIT_NONE
+from repro.compiler.isa import Program, UNIT_NONE
 
 BYTES_PER_WORD = 4
 
@@ -58,55 +59,44 @@ class DataPath:
         return lines
 
 
-def _words(shape: Tuple[int, ...]) -> int:
-    count = 1
-    for d in shape:
-        count *= d
-    return count
-
-
 def generate_datapath(program: Program) -> DataPath:
-    """Derive connections and buffer peak from register def-use flow."""
+    """Derive connections and buffer peak from register def-use flow
+    (the program's :class:`~repro.compiler.isa.DefUse`)."""
     datapath = DataPath()
-    producer_unit: Dict[str, str] = {}
-    last_use: Dict[str, int] = {}
+    analysis = program.def_use()
+    units = analysis.units
+    registers = analysis.registers
 
-    for instr in program.instructions:
-        for src in instr.srcs:
-            last_use[src] = instr.uid
-        for dst in instr.dsts:
-            producer_unit[dst] = instr.unit
-
-    # Connections: producer unit -> consumer unit per source operand.
-    for instr in program.instructions:
-        if instr.unit == UNIT_NONE:
+    # Connections: producer unit -> consumer unit per source operand; a
+    # constant (or undefined) operand comes from no unit.
+    for instr, unit in zip(program.instructions, units):
+        if unit == UNIT_NONE:
             continue
         for src in instr.srcs:
-            src_unit = producer_unit.get(src, UNIT_NONE)
-            key = (src_unit, instr.unit)
+            use = registers.get(src)
+            if use is None:
+                key = (UNIT_NONE, unit)
+                words = math.prod(program.register_shapes[src])
+            else:
+                producer, _, words = use
+                key = (units[producer], unit)
             conn = datapath.connections.get(key)
             if conn is None:
-                conn = Connection(src_unit, instr.unit)
+                conn = Connection(*key)
                 datapath.connections[key] = conn
             conn.transfers += 1
-            conn.words += _words(program.register_shapes[src])
+            conn.words += words
 
-    # Peak live words: registers alive between definition and last use.
-    # Sweep program order, which matches issue order for in-order execution
-    # and bounds the out-of-order live set.
-    live: Dict[str, int] = {}
-    peak = 0
-    expiry: Dict[int, List[str]] = {}
-    for reg, uid in last_use.items():
-        expiry.setdefault(uid, []).append(reg)
-    for instr in program.instructions:
-        if instr.op is not Opcode.CONST:
-            for dst in instr.dsts:
-                live[dst] = _words(program.register_shapes[dst])
-        peak = max(peak, sum(live.values()))
-        for reg in expiry.get(instr.uid, ()):
-            live.pop(reg, None)
-    datapath.buffer_words_peak = peak
+    # Peak live words: registers alive from definition through their
+    # last use, or to the end when nothing reads them.  Sweep program
+    # order, which matches issue order for in-order execution and
+    # bounds the out-of-order live set.
+    change = [0] * (len(units) + 1)
+    for producer, readers, words in registers.values():
+        change[producer] += words
+        if readers:
+            change[readers[-1] + 1] -= words
+    datapath.buffer_words_peak = max(accumulate(change))
     return datapath
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -90,16 +90,19 @@ class DeadlineGuard:
     the supervisor can decide between demoting down the executor ladder
     (an execute deadline: this rung is too slow) and aborting the solve
     (the total deadline, which also covers compiling: no time left on
-    any rung).  A guard with neither deadline never trips.
+    any rung).  A guard with neither deadline never trips.  ``clock``
+    reads seconds: the host's by default, a virtual one under chaos.
     """
 
     def __init__(self, total_s: Optional[float] = None,
                  execute_s: Optional[float] = None,
-                 label: str = "solve"):
+                 label: str = "solve",
+                 clock: Callable[[], float] = time.perf_counter):
         self.total_s = _validate_budget("total_s", total_s)
         self.execute_s = _validate_budget("execute_s", execute_s)
         self.label = label
-        self.started_s = time.perf_counter()
+        self._clock = clock
+        self.started_s = clock()
         self._execute_started_s: Optional[float] = None
 
     @property
@@ -111,8 +114,7 @@ class DeadlineGuard:
         """Seconds left before the total deadline; None without one."""
         if self.total_s is None:
             return None
-        return max(0.0,
-                   self.total_s - (time.perf_counter() - self.started_s))
+        return max(0.0, self.total_s - (self._clock() - self.started_s))
 
     def start_execute(self) -> None:
         """Arm the execute deadline for one attempt.
@@ -120,14 +122,14 @@ class DeadlineGuard:
         The execute clock restarts on every call, so each rung of a
         fallback ladder gets the full execute deadline for its attempt.
         """
-        self._execute_started_s = time.perf_counter()
+        self._execute_started_s = self._clock()
 
     def end_execute(self) -> None:
         self._execute_started_s = None
 
     def check(self, partial=None) -> None:
         """Raise :class:`DeadlineExceeded` if an armed deadline passed."""
-        now = time.perf_counter()
+        now = self._clock()
         if self.total_s is not None:
             elapsed = now - self.started_s
             if elapsed > self.total_s:

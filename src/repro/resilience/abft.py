@@ -29,6 +29,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.compiler.executor import assemble_qr_front
 from repro.compiler.isa import Instruction, Opcode
 
 Reader = Callable[[str], np.ndarray]
@@ -98,28 +99,9 @@ def _check_product(instr, read, rtol, atol):
     return _close(expected, got, scale, rtol, atol)
 
 
-def _assemble_qr_input(instr: Instruction, read: Reader) -> np.ndarray:
-    """Rebuild the stacked elimination front exactly as the executor does."""
-    sources = instr.meta["sources"]
-    total_cols = instr.meta["total_cols"]
-    rows = sum(s["rows"] for s in sources)
-    stacked = np.zeros((rows, total_cols + 1))
-    row = 0
-    for source in sources:
-        block = read(source["reg"])
-        for (src_start, dst_start, dim) in source["cols"].values():
-            stacked[row : row + source["rows"],
-                    dst_start : dst_start + dim] = (
-                block[:, src_start : src_start + dim]
-            )
-        stacked[row : row + source["rows"], total_cols] = block[:, -1]
-        row += source["rows"]
-    return stacked
-
-
 def _check_qr(instr, read, rtol, atol):
     frontal = instr.meta["frontal_dim"]
-    stacked = _assemble_qr_input(instr, read)
+    stacked = assemble_qr_front(instr, read)
     conditional = read(instr.dsts[0])
     # Gram checksum on the frontal rows: only rows < frontal_dim of the
     # triangular R contribute to (RᵀR)[:f, :], so the slice equals

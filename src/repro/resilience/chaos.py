@@ -34,12 +34,12 @@ repro.resilience chaos`` exits nonzero when any gate fails.
 Everything is seeded: same seed ⇒ byte-identical BENCH JSON, so two
 runs diffed with ``python -m repro.obs diff --exact`` double as the
 retry-determinism gate (the full verdict table lives in the deep-
-compared ``chaos`` section of the document).
+compared ``chaos`` section of the document).  Each scenario runs on a
+:class:`VirtualClock`, so no host timing decides a verdict.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -85,12 +85,10 @@ FAULTS = (
 
 EXECUTOR_TOPS = (RUNG_FUSED, RUNG_INTERPRETER)
 
-# The slow-op scenario's timing margins.  The deadline must hold for a
-# rung that runs unslowed: MobileRobot's guarded interpreter rung (534
-# steps) takes 4-8 ms and has been seen at 22 ms on a loaded 2-CPU
-# host, so it gets over 4x that worst case.  The injected delay, paid
-# once per slowed step, is twice the deadline, so the slowed rung's
-# first step already demotes it.
+# The slow-op scenario's execute deadline and the delay it charges per
+# slowed step, both on the scenario's virtual clock: the delay is twice
+# the deadline, so the slowed rung's first step already demotes it,
+# and a rung that runs unslowed reads no elapsed time at all.
 SLOW_OP_DEADLINE_S = 0.1
 SLOW_OP_DELAY_S = 2 * SLOW_OP_DEADLINE_S
 
@@ -182,9 +180,22 @@ def _nan_storm_injector() -> Callable:
     return inject
 
 
-def _slow_op_injector(sleep: Callable[[float], None]) -> Callable:
+class VirtualClock:
+    """A clock that moves only by :meth:`advance`; calling it reads it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+def _slow_op_injector(clock: VirtualClock) -> Callable:
     def inject(executor, program, indices):
-        sleep(SLOW_OP_DELAY_S)
+        clock.advance(SLOW_OP_DELAY_S)
     return inject
 
 
@@ -244,12 +255,11 @@ class ScenarioOutcome:
 
 
 def run_scenario(app_name: str, graph, values, golden: Dict, top: str,
-                 fault: str, seed: int,
-                 sleep: Callable[[float], None] = time.sleep
-                 ) -> ScenarioOutcome:
+                 fault: str, seed: int) -> ScenarioOutcome:
     """One supervised solve under one host-level fault kind."""
     base = SupervisorConfig(seed=seed, ladder=_ladder_for_top(top))
     injectors: Dict[str, Callable] = {}
+    clock = VirtualClock()
 
     if fault == FAULT_HANDLER_TRANSIENT:
         injectors[top] = _transient_handler_injector()
@@ -259,15 +269,16 @@ def run_scenario(app_name: str, graph, values, golden: Dict, top: str,
         injectors[top] = _nan_storm_injector()
     elif fault == FAULT_SLOW_OP:
         base = replace(base, execute_deadline_s=SLOW_OP_DEADLINE_S)
-        injectors[top] = _slow_op_injector(sleep)
+        injectors[top] = _slow_op_injector(clock)
     elif fault == FAULT_SILENT_CORRUPTION:
         base = replace(base, sentinel=True, sentinel_rate=1.0)
         injectors[top] = _silent_corruption_injector()
 
-    # Backoff sleeps are skipped (delays are still computed, seeded, and
-    # recorded in the events) so the campaign's wall-clock stays bounded.
-    solver = SupervisedSolver(config=base, sleep=lambda s: None,
-                              injectors=injectors)
+    # The supervisor, its deadlines and its backoff sleeps run on the
+    # virtual clock (backoff delays are still computed, seeded and
+    # recorded in the events), so the campaign never waits.
+    solver = SupervisedSolver(config=base, sleep=clock.advance,
+                              injectors=injectors, clock=clock)
     outcome = ScenarioOutcome(app=app_name, executor=top, fault=fault,
                               verdict=VERDICT_CRASH)
 
@@ -343,8 +354,7 @@ def _program_has_mm(solver: SupervisedSolver, graph, values) -> bool:
 # The campaign
 # ----------------------------------------------------------------------
 
-def run_chaos(config: Optional[ChaosConfig] = None,
-              sleep: Callable[[float], None] = time.sleep
+def run_chaos(config: Optional[ChaosConfig] = None
               ) -> Tuple[ExperimentTable, Dict[str, Any]]:
     """Run the chaos matrix; return the verdict table and BENCH document."""
     from repro.bench.core import BENCH_SCHEMA
@@ -371,8 +381,8 @@ def run_chaos(config: Optional[ChaosConfig] = None,
             graph, values = app.build_graphs(
                 config.seed, [LOCALIZATION])[LOCALIZATION]
             with fleet.label_scope(app=app.name):
-                _chaos_app(app, graph, values, config, sleep, registry,
-                           table, outcomes, workloads)
+                _chaos_app(app, graph, values, config, registry, table,
+                           outcomes, workloads)
     gates = evaluate_gates(outcomes, config.min_correct_rate)
     document = {
         "schema": BENCH_SCHEMA,
@@ -400,8 +410,7 @@ def run_chaos(config: Optional[ChaosConfig] = None,
     return table, document
 
 
-def _chaos_app(app, graph, values, config: ChaosConfig,
-               sleep: Callable[[float], None], registry,
+def _chaos_app(app, graph, values, config: ChaosConfig, registry,
                table: ExperimentTable, outcomes: List[ScenarioOutcome],
                workloads: Dict[str, Any]) -> None:
     """One application's chaos cells (within the app's label scope)."""
@@ -411,8 +420,7 @@ def _chaos_app(app, graph, values, config: ChaosConfig,
         golden = CompiledSolver(executor=top).solve(graph, values)
         for fault in config.faults:
             outcome = run_scenario(app.name, graph, values, golden,
-                                   top, fault, config.seed,
-                                   sleep=sleep)
+                                   top, fault, config.seed)
             outcomes.append(outcome)
             # The supervisor recorded total/latency/deadline/degraded
             # per solve; the campaign owns the oracle, so it records

@@ -309,16 +309,20 @@ class SupervisedSolver:
     ``sleep`` is the backoff sleeper (injectable so tests and campaigns
     pay no real wall-clock for retries); ``injectors`` maps ladder rung
     names to chaos injectors (see :data:`repro.compiler.executor.
-    Injector`), installed as the rung executor's run-loop hook.
+    Injector`), installed as the rung executor's run-loop hook; ``clock``
+    times the deadline guards it arms and the latency it records (see
+    :class:`~repro.optim.safeguards.DeadlineGuard`).
     """
 
     def __init__(self, config: Optional[SupervisorConfig] = None,
                  sleep: Callable[[float], None] = time.sleep,
-                 injectors: Optional[Dict[str, Injector]] = None):
+                 injectors: Optional[Dict[str, Injector]] = None,
+                 clock: Callable[[], float] = time.perf_counter):
         self.config = config if config is not None else SupervisorConfig()
         self.session = CompiledSolver()
         self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN)
         self._sleep = sleep
+        self._clock = clock
         self._injectors = dict(injectors or {})
         self._solve_index = 0
         self._solves = 0
@@ -336,11 +340,11 @@ class SupervisedSolver:
         config = self.config
         guard = DeadlineGuard(total_s=config.total_deadline_s,
                               execute_s=config.execute_deadline_s,
-                              label="supervised solve")
+                              label="supervised solve", clock=self._clock)
         index = self._solve_index
         self._solve_index += 1
         registry = fleet.active()
-        started = time.perf_counter() if registry is not None else 0.0
+        started = self._clock() if registry is not None else 0.0
         try:
             with trace.span("solve.supervised", category="host.phase",
                             solve=index):
@@ -353,7 +357,7 @@ class SupervisedSolver:
             if registry is not None:
                 self._record_fleet(
                     registry, guard, None,
-                    time.perf_counter() - started, failed=True,
+                    self._clock() - started, failed=True,
                     deadline_failed=isinstance(exc, DeadlineExceeded))
             raise
         self._solves += 1
@@ -368,8 +372,7 @@ class SupervisedSolver:
         self.last_report = report.to_dict()
         if registry is not None:
             self._record_fleet(registry, guard, self.last_report,
-                               time.perf_counter() - started,
-                               failed=False)
+                               self._clock() - started, failed=False)
         return delta
 
     # Deadline-event kinds a _SolveReport carries when a guard fired.

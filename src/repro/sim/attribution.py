@@ -229,21 +229,18 @@ def compute_attribution(program: Program,
 def compute_critical_path(program: Program,
                           latencies: Sequence[int],
                           start: Dict[int, float],
-                          finish: Dict[int, float],
-                          deps: Optional[Sequence[Sequence[int]]] = None
-                          ) -> CriticalPathAnalysis:
+                          finish: Dict[int, float]) -> CriticalPathAnalysis:
     """Longest dependency chain and per-instruction schedule slack.
 
     The chain length is resource-free (pure def-use + latency): the
     floor any schedule can reach.  Slack compares the recorded schedule
     against the latest times that would still meet the makespan under
     the same dependencies — zero-slack instructions gate the finish.
-    ``latencies`` and ``deps`` (each uid's producers, as in
-    ``program.dependencies()``, for callers that already built it) are
-    indexed by uid.
+    ``latencies`` is indexed by uid; the dependencies are the
+    program's :class:`~repro.compiler.isa.DefUse`.
     """
-    if deps is None:
-        deps = program.dependencies()
+    def_use = program.def_use()
+    producers = def_use.producers
     instructions = program.instructions
 
     # Forward longest path (program order is a topological order: SSA).
@@ -253,7 +250,7 @@ def compute_critical_path(program: Program,
         lat = float(latencies[instr.uid])
         pred_dist = 0.0
         pred = None
-        for d in deps[instr.uid]:
+        for d in producers[instr.uid]:
             if dist[d] > pred_dist:
                 pred_dist = dist[d]
                 pred = d
@@ -293,17 +290,14 @@ def compute_critical_path(program: Program,
         makespan = max(finish.values())
         analysis.makespan_cycles = makespan
         latest_start: Dict[int, float] = {}
-        consumers: Dict[int, List[int]] = {}
-        for instr in instructions:
-            for d in deps[instr.uid]:
-                consumers.setdefault(d, []).append(instr.uid)
+        consumers = def_use.consumers
         for instr in reversed(instructions):
             cuid = instr.uid
             if cuid not in start:
                 continue
             lat = float(latencies[cuid])
             latest_finish = makespan
-            for c in consumers.get(cuid, ()):
+            for c in consumers[cuid]:
                 if c in latest_start:
                     latest_finish = min(latest_finish, latest_start[c])
             latest_start[cuid] = latest_finish - lat

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.compiler.isa import Opcode, Program, UNIT_NONE, UNIT_OF_OPCODE
+from repro.compiler.isa import Opcode, Program, UNIT_NONE
 from repro.hw.accelerator import AcceleratorConfig
 from repro.hw.units import BASE_STATIC_POWER_MW, STATIC_POWER_MW
 from repro.obs import core as obs
@@ -49,20 +49,14 @@ from repro.sim.stats import EnergyBreakdown, SimulationResult
 POLICIES = ("ooo", "inorder", "sequential")
 
 
-def _unit_classes(program: Program) -> List[str]:
-    """The unit class of every instruction, indexed by uid."""
-    return [UNIT_OF_OPCODE[instr.op] for instr in program.instructions]
-
-
 class _StructureTables:
-    """A program structure's per-uid tables, kept in its structure slot.
+    """A program structure's per-uid costs, kept in its structure slot.
 
-    Unit classes and the dependency map follow from the instruction
-    stream alone; latencies and energies also from the unit templates,
-    so they are kept for the last templates they were computed with.
-    Instance counts do not enter, so the hardware optimizer's greedy
-    search, which only adds instances, reuses them across configs.
-    Every list is indexed by uid and read-only once built.
+    Latencies and energies follow from the instruction stream and the
+    unit templates, so they are kept for the last templates they were
+    computed with.  Instance counts do not enter, so the hardware
+    optimizer's greedy search, which only adds instances, reuses them
+    across configs.  Both lists are indexed by uid and read-only.
 
     ``outcomes`` keeps the raw state of the last :attr:`OUTCOMES`
     fault-free runs (an LRU), keyed by everything else a run reads:
@@ -75,13 +69,11 @@ class _StructureTables:
 
     OUTCOMES = 4
 
-    __slots__ = ("instructions", "units", "deps", "templates",
-                 "latencies", "energies", "outcomes")
+    __slots__ = ("instructions", "templates", "latencies", "energies",
+                 "outcomes")
 
     def __init__(self, program: Program):
         self.instructions = len(program.instructions)
-        self.units = _unit_classes(program)
-        self.deps = list(program.dependencies().values())
         self.templates: Optional[Dict[str, object]] = None
         self.latencies: List[int] = []
         self.energies: List[float] = []
@@ -122,16 +114,15 @@ class _RunState:
     """
 
     __slots__ = ("program", "latencies", "energies", "start", "finish",
-                 "deps", "tracker")
+                 "tracker")
 
-    def __init__(self, program, latencies, energies, start, finish, deps,
+    def __init__(self, program, latencies, energies, start, finish,
                  tracker):
         self.program = program
         self.latencies = latencies
         self.energies = energies
         self.start = start
         self.finish = finish
-        self.deps = deps
         self.tracker = tracker
 
     def attribution(self, result: SimulationResult):
@@ -140,7 +131,7 @@ class _RunState:
 
     def critical_path(self, result: SimulationResult):
         return compute_critical_path(self.program, self.latencies,
-                                     self.start, self.finish, self.deps)
+                                     self.start, self.finish)
 
     def cycle_accounting(self, result: SimulationResult):
         return compute_cycle_accounting(self.program, self.tracker,
@@ -212,8 +203,8 @@ class Simulator:
             tables = slot.sim = _StructureTables(program)
         templates = self.config.templates
         if tables.templates != templates:
-            tables.latencies = self._latencies(program, tables.units)
-            tables.energies = self._energies(program, tables.units)
+            tables.latencies = self._latencies(program)
+            tables.energies = self._energies(program)
             tables.templates = dict(templates)
             tables.outcomes.clear()
         return tables
@@ -235,8 +226,7 @@ class Simulator:
             energies = list(energies)
             fault_counts = fault_plan.apply_timing(program, latencies,
                                                    energies)
-            outcome = self._simulate(program, tables, policy, latencies,
-                                     energies)
+            outcome = self._simulate(program, policy, latencies, energies)
             result = outcome.result
             if fault_counts:
                 result.fault_counts = fault_counts
@@ -244,7 +234,7 @@ class Simulator:
                     obs.counters.incr(f"resilience.sim.{kind}", value)
         start, finish = outcome.start, outcome.finish
         result.run_state = _RunState(program, latencies, energies, start,
-                                     finish, tables.deps, outcome.tracker)
+                                     finish, outcome.tracker)
         if record_schedule or obs.is_enabled():
             result.schedule = {uid: (start[uid], finish[uid])
                                for uid in start}
@@ -267,7 +257,7 @@ class Simulator:
         if outcome is None:
             obs.counters.incr("sim.memo.miss")
             outcome = memo[key] = self._simulate(
-                program, tables, policy, tables.latencies, tables.energies)
+                program, policy, tables.latencies, tables.energies)
             while len(memo) > tables.OUTCOMES:
                 memo.popitem(last=False)
         else:
@@ -281,7 +271,7 @@ class Simulator:
                  policy: str, kept: _Outcome) -> None:
         """Debug mode's check of a replay: simulate afresh (no memo, no
         telemetry, no analyses) and compare the raw run state."""
-        fresh = self._simulate(program, tables, policy, tables.latencies,
+        fresh = self._simulate(program, policy, tables.latencies,
                                tables.energies)
         differs = [f.name for f in dataclasses.fields(kept.result)
                    if getattr(kept.result, f.name) !=
@@ -298,14 +288,15 @@ class Simulator:
                 f" differs from a fresh simulation in {', '.join(differs)}"
             )
 
-    def _simulate(self, program: Program, tables: _StructureTables,
-                  policy: str, latencies: List[int],
+    def _simulate(self, program: Program, policy: str, latencies: List[int],
                   energies: List[float]) -> _Outcome:
         """One schedule of ``program``: the issue loop and the result's
         totals, with no schedule map, run state or telemetry."""
         instructions = program.instructions
-        units = tables.units
-        deps = tables.deps
+        analysis = program.def_use()
+        units = analysis.units
+        producers = analysis.producers
+        consumers = analysis.consumers
 
         # Per-unit-class instance free times (min-heaps of ready-at times).
         unit_free: Dict[str, List[float]] = {
@@ -349,17 +340,12 @@ class Simulator:
         for instr in instructions:
             if instr.op is Opcode.CONST:
                 continue
-            preds = {d for d in deps[instr.uid] if d not in finish}
+            preds = {d for d in producers[instr.uid] if d not in finish}
             pending_preds[instr.uid] = preds
             if not preds:
                 tracker.mark_ready(instr.uid, 0.0)
                 if policy == "ooo":
                     enqueue(instr.uid)
-
-        dependents: Dict[int, List[int]] = {}
-        for uid, preds in pending_preds.items():
-            for p in preds:
-                dependents.setdefault(p, []).append(uid)
 
         issued: Set[int] = set()
         inflight = 0
@@ -499,7 +485,7 @@ class Simulator:
                 finished.append(heapq.heappop(completion_events)[1])
             inflight -= len(finished)
             for f_uid in finished:
-                for dep in dependents.get(f_uid, ()):
+                for dep in consumers[f_uid]:
                     preds = pending_preds.get(dep)
                     if preds is not None:
                         preds.discard(f_uid)
@@ -658,12 +644,10 @@ class Simulator:
                     f"but issue - ready = {info['wait']}"
                 )
 
-    def _latencies(self, program: Program,
-                   units: Optional[List[str]] = None) -> List[int]:
+    def _latencies(self, program: Program) -> List[int]:
         """Per-instruction latency in cycles, indexed by uid."""
-        if units is None:
-            units = _unit_classes(program)
         latencies: List[int] = []
+        units = program.def_use().units
         shapes = program.register_shapes
         templates = self.config.templates
         for instr, unit in zip(program.instructions, units):
@@ -679,13 +663,11 @@ class Simulator:
             latencies.append(max(1, int(template.latency(instr, shapes))))
         return latencies
 
-    def _energies(self, program: Program,
-                  units: Optional[List[str]] = None) -> List[float]:
+    def _energies(self, program: Program) -> List[float]:
         """Per-instruction dynamic energy in nJ, indexed by uid
         (UNIT_NONE costs zero)."""
-        if units is None:
-            units = _unit_classes(program)
         energies: List[float] = []
+        units = program.def_use().units
         shapes = program.register_shapes
         templates = self.config.templates
         for instr, unit in zip(program.instructions, units):
@@ -766,24 +748,15 @@ class Simulator:
         )
 
     def _live_set(self, program: Program, start, finish) -> Tuple[int, int]:
-        """Peak live words over the simulated schedule and spill volume."""
-        last_use: Dict[str, float] = {}
-        born: Dict[str, float] = {}
-        for instr in program.instructions:
-            for src in instr.srcs:
-                last_use[src] = max(last_use.get(src, 0.0),
-                                    finish[instr.uid])
-            for dst in instr.dsts:
-                if instr.op is not Opcode.CONST:
-                    born[dst] = start[instr.uid]
-
+        """Peak live words over the simulated schedule and spill volume:
+        a register lives from its producer's start to its last reader's
+        finish (its start when unread), and on a tie frees go first."""
         events: List[Tuple[float, int, int]] = []
-        for reg, t in born.items():
-            words = 1
-            for d in program.register_shapes[reg]:
-                words *= d
-            events.append((t, 1, words))
-            events.append((last_use.get(reg, t), -1, words))
+        for producer, readers, words in program.def_use().registers.values():
+            born = start[producer]
+            events.append((born, 1, words))
+            events.append((max([finish[r] for r in readers])
+                           if readers else born, -1, words))
         events.sort(key=lambda e: (e[0], e[1]))
 
         live = 0

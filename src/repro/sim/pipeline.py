@@ -28,23 +28,13 @@ def replicate_frames(program: Program, frames: int) -> Program:
     out = Program(algorithm=program.algorithm)
     for frame in range(frames):
         prefix = f"f{frame}:"
-
-        def rename(reg: str) -> str:
-            return prefix + reg
-
         for instr in program.instructions:
-            meta = dict(instr.meta)
-            if "sources" in meta:  # QR gather lists carry register names
-                meta["sources"] = [
-                    {**source, "reg": rename(source["reg"])}
-                    for source in meta["sources"]
-                ]
             clone = Instruction(
                 uid=len(out.instructions),
                 op=instr.op,
-                srcs=[rename(s) for s in instr.srcs],
-                dsts=[rename(d) for d in instr.dsts],
-                meta=meta,
+                srcs=[prefix + s for s in instr.srcs],
+                dsts=[prefix + d for d in instr.dsts],
+                meta=dict(instr.meta),
                 phase=instr.phase,
                 algorithm=f"{instr.algorithm}@{frame}" if instr.algorithm
                 else f"frame{frame}",

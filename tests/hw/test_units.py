@@ -31,14 +31,12 @@ def mm_instr(m, k, n):
 
 def qr_instr(rows_list, total_cols, frontal):
     meta = {
-        "sources": [{"reg": f"r{i}", "rows": r, "cols": {}}
-                    for i, r in enumerate(rows_list)],
+        "sources": [{"rows": r, "cols": {}} for r in rows_list],
         "total_cols": total_cols,
         "frontal_dim": frontal,
-        "col_layout": [],
         "marginal_rows": 0,
     }
-    return Instruction(0, Opcode.QR, [s["reg"] for s in meta["sources"]],
+    return Instruction(0, Opcode.QR, [f"r{i}" for i in range(len(rows_list))],
                        ["cond"], meta), {}
 
 

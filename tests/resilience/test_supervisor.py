@@ -17,6 +17,7 @@ from repro.factors import BetweenFactor, PriorFactor
 from repro.geometry import Pose
 from repro.optim.compiled import CompiledSolver
 from repro.resilience import supervisor
+from repro.resilience.chaos import VirtualClock
 from repro.resilience.supervisor import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -221,13 +222,14 @@ class TestSupervisedSolver:
     def test_execute_deadline_demotes_instead_of_aborting(self, problem,
                                                           golden):
         graph, values = problem
+        clock = VirtualClock()
 
         def slow(executor, program, indices):
-            time.sleep(0.05)
+            clock.advance(0.05)
 
         config = SupervisorConfig(execute_deadline_s=0.01)
         solver = SupervisedSolver(config=config, sleep=no_sleep,
-                                  injectors={RUNG_FUSED: slow})
+                                  injectors={RUNG_FUSED: slow}, clock=clock)
         delta = solver.solve(graph, values)
         report = solver.last_report
         assert report["rung"] == RUNG_INTERPRETER
@@ -238,13 +240,14 @@ class TestSupervisedSolver:
 
     def test_total_deadline_aborts_with_partial_progress(self, problem):
         graph, values = problem
+        clock = VirtualClock()
 
         def slow(executor, program, indices):
-            time.sleep(0.05)
+            clock.advance(0.05)
 
         config = SupervisorConfig(total_deadline_s=0.01)
         solver = SupervisedSolver(config=config, sleep=no_sleep,
-                                  injectors={RUNG_FUSED: slow})
+                                  injectors={RUNG_FUSED: slow}, clock=clock)
         with pytest.raises(DeadlineExceeded) as info:
             solver.solve(graph, values)
         assert info.value.phase == "total"
