@@ -49,8 +49,8 @@ def main():
 
     # --- simulate -------------------------------------------------------
     sim = Simulator(config)
-    ooo = sim.run(program, "ooo", record_schedule=True)
-    io = sim.run(program, "sequential", record_schedule=True)
+    ooo = sim.run(program, "ooo")
+    io = sim.run(program, "sequential")
     print(f"\nORIANNA-OoO: {ooo.time_ms:.3f} ms, {ooo.energy_mj:.3f} mJ")
     print(f"ORIANNA-IO:  {io.time_ms:.3f} ms, {io.energy_mj:.3f} mJ "
           f"(OoO is {io.total_cycles / ooo.total_cycles:.1f}x faster)")

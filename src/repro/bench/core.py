@@ -26,9 +26,8 @@ from typing import Any, Dict, List, Optional
 from repro.apps import all_applications
 from repro.eval.experiments import ORIANNA_CONFIG, experiment_fig13_fig14
 from repro.obs import trace
+from repro.obs.metrics import BENCH_SCHEMA
 from repro.sim import Simulator
-
-BENCH_SCHEMA = "repro.bench/1"
 
 QUICK_POLICIES = ("ooo",)
 FULL_POLICIES = ("ooo", "inorder", "sequential")

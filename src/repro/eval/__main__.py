@@ -132,9 +132,6 @@ def main(argv=None) -> int:
     if observing:
         obs.enable(debug=args.obs_debug)
         obs.collector().drain()  # start each run from a clean stream
-        # Fleet telemetry rides along: compiled/supervised solves land
-        # labeled totals + latency sketches, drained per experiment.
-        obs.fleet.enable()
     try:
         stream = open(args.output, "w") if args.output else sys.stdout
     except OSError as exc:
@@ -151,15 +148,8 @@ def main(argv=None) -> int:
                     tables = _tables_of(runner(args))
                     elapsed = time.perf_counter() - started
                 snapshot = obs.collector().drain() if observing else None
-                fleet_section = None
-                registry = obs.fleet.active()
-                if registry is not None:
-                    section = registry.snapshot()
-                    registry.clear()
-                    if section["series"] or section["windows"]:
-                        fleet_section = section
-                cache[key] = (tables, elapsed, snapshot, fleet_section)
-            tables, elapsed, snapshot, fleet_section = cache[key]
+                cache[key] = (tables, elapsed, snapshot)
+            tables, elapsed, snapshot = cache[key]
             for table in tables:
                 if table.experiment_id != eid:
                     continue
@@ -172,9 +162,7 @@ def main(argv=None) -> int:
                     print(f"[{eid} in {elapsed:.1f}s]", file=stream)
                     print(file=stream)
             if snapshot is not None:
-                extra = {"fleet": fleet_section} if fleet_section else None
-                entries.append(
-                    experiment_entry(eid, elapsed, snapshot, extra=extra))
+                entries.append(experiment_entry(eid, elapsed, snapshot))
                 if args.trace_dir:
                     write_chrome_trace(
                         os.path.join(args.trace_dir,
@@ -186,7 +174,6 @@ def main(argv=None) -> int:
             stream.close()
         if observing:
             obs.disable()
-            obs.fleet.disable()
 
     if args.metrics:
         write_metrics(args.metrics, entries, meta={

@@ -10,8 +10,22 @@ Usage pattern (the whole pipeline is instrumented with this API)::
     counters.incr("compiler.cse.hits")
 
 Collection is **off by default** — both calls are no-ops until
-:func:`enable` (or :class:`enabled_scope`) turns the process-global
+:func:`enable` (or :func:`enabled_scope`) turns the process-global
 collector on, so instrumented hot paths cost nothing in normal runs.
+
+Counters are series of the collector's labeled registry
+(:mod:`repro.obs.fleet`, the one metric store), which is also the
+active fleet registry while observing, so SLO series (per
+app/executor/session/stage counters and quantile-sketch latencies)
+land beside them.  ``fleet.enable()`` / ``fleet.fleet_scope`` activate
+a registry for SLO series alone::
+
+    from repro.obs import fleet
+
+    with fleet.fleet_scope() as reg, fleet.label_scope(app="MobileRobot"):
+        reg.incr(fleet.M_SOLVE_TOTAL, executor="fused")
+        reg.observe(fleet.M_SOLVE_LATENCY, 0.0123, executor="fused")
+    section = reg.snapshot()   # embeddable, mergeable, exportable
 
 Exporters turn a drained :class:`Snapshot` into artifacts:
 
@@ -20,21 +34,9 @@ Exporters turn a drained :class:`Snapshot` into artifacts:
   ``chrome://tracing``), one track per accelerator unit instance plus
   host-side optimizer/compiler span tracks.
 - :func:`repro.obs.metrics.write_metrics` — flat metrics JSON (cycles,
-  energy breakdown, per-pass timings, stall counters).
+  energy breakdown, per-pass timings, stall counters, the registry).
 
 ``python -m repro.obs report metrics.json`` prints a profile summary.
-
-Labeled fleet telemetry (per app/executor/session/stage counters and
-quantile-sketch latency histograms, with SLO tracking and
-Prometheus/JSONL export) lives in :mod:`repro.obs.fleet` — also off by
-default, activated with ``fleet.enable()`` / ``fleet.fleet_scope``::
-
-    from repro.obs import fleet
-
-    with fleet.fleet_scope() as reg, fleet.label_scope(app="MobileRobot"):
-        reg.incr(fleet.M_SOLVE_TOTAL, executor="fused")
-        reg.observe(fleet.M_SOLVE_LATENCY, 0.0123, executor="fused")
-    section = reg.snapshot()   # embeddable, mergeable, exportable
 """
 
 from repro.obs import fleet

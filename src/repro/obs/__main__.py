@@ -42,8 +42,9 @@
   BENCH/campaign/chaos document's ``fleet`` section, or a metrics
   document's per-experiment sections merged).  Exits 1 when any
   ``--target name=value`` (or default) SLO is breached, 2 on an
-  unreadable document.
-- ``top file.json`` — fleet summary over the same documents: top
+  unreadable document or one with no ``fleet.solve.*`` series.
+- ``top file.json`` — fleet summary over the same documents (a metrics
+  document's sections carry its instrumentation counters too): top
   counter series by value, per-label-set latency percentiles, window
   rollups; ``--prom FILE`` / ``--jsonl FILE`` additionally export the
   Prometheus text exposition and the JSONL time series.
@@ -426,6 +427,10 @@ def main(argv=None) -> int:
                 print(f"repro.obs slo: {exc}", file=sys.stderr)
                 return 2
             result = evaluate_slo(section, targets)
+            if not result["rows"]:
+                print(f"repro.obs slo: {args.document} carries no "
+                      f"fleet.solve.* series", file=sys.stderr)
+                return 2
             if args.json:
                 from repro.obs.emit import write_json
 

@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
-
-# Inlined (must match repro.bench.core.BENCH_SCHEMA): importing the
-# bench package would drag the whole application suite into a renderer
-# that only needs to recognize the document flavor.
-BENCH_SCHEMA = "repro.bench/1"
+from repro.obs.metrics import BENCH_SCHEMA, SCHEMA as METRICS_SCHEMA
 
 
 def _collect_simulations(document: Dict[str, Any]

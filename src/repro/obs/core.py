@@ -7,8 +7,10 @@ The observability substrate for the whole pipeline.  Design goals:
   ``counters.incr(...)`` returns after a single module-global check, so
   instrumented hot paths pay essentially nothing.
 - **One process-global collector.**  All layers (optimizer, compiler,
-  simulator) record into the same :class:`Collector`; callers segment the
-  stream per experiment with :meth:`Collector.drain`.
+  simulator) record into the same :class:`Collector`: spans and sim
+  records, and counters as series of its registry, the one metric
+  store (:mod:`repro.obs.fleet`).  Callers segment the stream per
+  experiment with :meth:`Collector.drain`.
 - **Plain data out.**  A drained :class:`Snapshot` holds dataclasses and
   dicts only, so the exporters (:mod:`repro.obs.trace_export`,
   :mod:`repro.obs.metrics`) are pure functions over it.
@@ -18,8 +20,11 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
+
+from repro.obs import fleet
 
 __all__ = [
     "SpanRecord", "Snapshot", "Collector", "collector",
@@ -45,11 +50,22 @@ class Snapshot:
     """A drained slice of the collector's stream."""
 
     spans: List[SpanRecord] = field(default_factory=list)
-    counters: Dict[str, float] = field(default_factory=dict)
     # Simulation telemetry records pushed by repro.sim.engine: plain
-    # dicts with policy, cycles, energy, stall counters, and (when a
-    # schedule was recorded) per-instruction timing for trace export.
+    # dicts with policy, cycles, energy, stall counters, and
+    # per-instruction timing for trace export.
     sims: List[Dict[str, Any]] = field(default_factory=list)
+    # The collector's registry section: counters and any SLO series.
+    metrics: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def counters(self) -> Dict[str, float]:
+        """Each counter of :attr:`metrics`, summed over its label sets."""
+        totals: Dict[str, float] = {}
+        for entry in self.metrics.get("series", ()):
+            if entry["kind"] == fleet.KIND_COUNTER:
+                name = entry["name"]
+                totals[name] = totals.get(name, 0.0) + entry["value"]
+        return totals
 
     def span_totals(self, category: Optional[str] = None) -> Dict[str, float]:
         """Total seconds per span name, optionally within one category."""
@@ -62,14 +78,15 @@ class Snapshot:
 
 
 class Collector:
-    """Accumulates spans, counters, and simulation records."""
+    """Accumulates spans and simulation records; counters go to
+    :attr:`registry`."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.epoch_s = time.perf_counter()
         self.spans: List[SpanRecord] = []
-        self.counters: Dict[str, float] = {}
         self.sims: List[Dict[str, Any]] = []
+        self.registry = fleet.FleetRegistry()
 
     # -- recording (called only while enabled) -------------------------
     def record_span(self, name: str, category: str, start_s: float,
@@ -82,27 +99,20 @@ class Collector:
         with self._lock:
             self.spans.append(record)
 
-    def incr(self, name: str, amount: float = 1.0) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0.0) + amount
-
     def record_sim(self, record: Dict[str, Any]) -> None:
         with self._lock:
             self.sims.append(record)
 
     # -- consumption ---------------------------------------------------
     def drain(self) -> Snapshot:
-        """Return everything recorded since the last drain and clear it."""
+        """Return everything recorded since the last drain and clear it,
+        the registry included."""
         with self._lock:
-            snap = Snapshot(spans=self.spans, counters=self.counters,
-                            sims=self.sims)
+            snap = Snapshot(spans=self.spans, sims=self.sims,
+                            metrics=self.registry.drain())
             self.spans = []
-            self.counters = {}
             self.sims = []
         return snap
-
-    def clear(self) -> None:
-        self.drain()
 
 
 _collector = Collector()
@@ -117,14 +127,20 @@ def collector() -> Collector:
 
 def enable(debug: bool = False) -> None:
     """Turn collection on; ``debug`` additionally arms the simulator's
-    schedule-invariant assertions (see :mod:`repro.sim.engine`)."""
+    schedule-invariant assertions (see :mod:`repro.sim.engine`).  The
+    collector's registry becomes the active fleet registry unless one
+    is already active."""
     global _enabled, _debug
+    if fleet.active() is None:
+        fleet.enable(_collector.registry)
     _enabled = True
     _debug = bool(debug)
 
 
 def disable() -> None:
     global _enabled, _debug
+    if fleet.active() is _collector.registry:
+        fleet.disable()
     _enabled = False
     _debug = False
 
@@ -137,25 +153,18 @@ def debug_enabled() -> bool:
     return _enabled and _debug
 
 
-class enabled_scope:
-    """Context manager: enable collection inside, restore state after."""
-
-    def __init__(self, debug: bool = False):
-        self._debug = debug
-        self._was_enabled = False
-        self._was_debug = False
-
-    def __enter__(self) -> Collector:
-        self._was_enabled, self._was_debug = _enabled, _debug
-        enable(debug=self._debug or _debug)
-        return _collector
-
-    def __exit__(self, *exc) -> bool:
-        if self._was_enabled:
-            enable(debug=self._was_debug)
+@contextmanager
+def enabled_scope(debug: bool = False) -> Iterator[Collector]:
+    """Enable collection inside, restore the prior state after."""
+    was_enabled, was_debug = _enabled, _debug
+    enable(debug=debug or was_debug)
+    try:
+        yield _collector
+    finally:
+        if was_enabled:
+            enable(debug=was_debug)
         else:
             disable()
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -224,16 +233,7 @@ class _Counters:
     def incr(name: str, amount: float = 1.0) -> None:
         if not _enabled:
             return
-        _collector.incr(name, amount)
-
-    @staticmethod
-    def merge(prefix: str, values: Dict[str, float]) -> None:
-        """Bulk-add a dict of counters under ``prefix.`` (one lock trip
-        per key; used for end-of-run flushes, not hot loops)."""
-        if not _enabled:
-            return
-        for key, amount in values.items():
-            _collector.incr(f"{prefix}.{key}", float(amount))
+        _collector.registry.incr(name, amount)
 
 
 trace = _Trace()

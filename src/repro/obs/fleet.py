@@ -1,9 +1,9 @@
-"""Fleet telemetry: labeled metrics, quantile sketches, and exporters.
+"""Fleet telemetry: the labeled metric registry, sketches, exporters.
 
-The :class:`~repro.obs.core.Collector` holds flat, unlabeled counters —
-enough for single-run profiling, useless for answering "what is p99
-solve latency per app per executor?" across a fleet of solves.  This
-module layers a **labeled metric registry** on top of it:
+:class:`FleetRegistry` is the process's one metric store.  It answers
+"what is p99 solve latency per app per executor?" across a fleet of
+solves, and it also holds the observation's instrumentation counters
+(``counters.incr`` in :mod:`repro.obs.core`):
 
 - **Counters and histograms** tagged with ``app`` /
   ``executor`` / ``session`` / ``stage`` labels.  Histograms are
@@ -23,12 +23,13 @@ module layers a **labeled metric registry** on top of it:
 - **Cross-snapshot / cross-process ``merge()``** so per-experiment or
   per-worker sections aggregate into one fleet view.
 
-Like ``trace``/``counters``, the registry is **off by default**:
+Like ``trace``/``counters``, the active registry is **off by default**:
 producers guard with ``reg = fleet.active()`` / ``if reg is None`` and
 pay one module-global read per solve when disabled.  Activate with
-:func:`enable` or the :class:`fleet_scope` context manager (fresh
-registry, prior state restored), and attach ambient labels with
-:class:`label_scope`.
+:func:`enable` or the :func:`fleet_scope` context manager (fresh
+registry, prior state restored); while observing (``obs.enable()``)
+the collector's registry is the active one unless another already is.
+Attach ambient labels with :class:`label_scope`.
 
 Exporters: :func:`to_prometheus` (text exposition: one ``# TYPE`` per
 family, counters suffixed ``_total``, histograms as cumulative
@@ -42,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
@@ -292,7 +294,7 @@ class FleetRegistry:
 
     def __init__(self, alpha: float = DEFAULT_ALPHA):
         self.alpha = float(alpha)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._kinds: Dict[str, str] = {}
         self._units: Dict[str, str] = {}
         self._series: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Any] = {}
@@ -379,6 +381,14 @@ class FleetRegistry:
                 "windows": [dict(w) for w in self._windows],
             }
 
+    def drain(self) -> Dict[str, Any]:
+        """:meth:`snapshot` and :meth:`clear` under one lock hold, so
+        nothing recorded in between is lost."""
+        with self._lock:
+            section = self.snapshot()
+            self.clear()
+        return section
+
     def merge(self, section: Dict[str, Any]) -> None:
         """Fold another snapshot/process section into this registry.
 
@@ -448,25 +458,18 @@ def disable() -> None:
     _active = None
 
 
-class fleet_scope:
-    """Enable a fresh (or given) registry inside, restore state after."""
-
-    def __init__(self, registry: Optional[FleetRegistry] = None,
-                 alpha: float = DEFAULT_ALPHA):
-        self._registry = registry if registry is not None \
-            else FleetRegistry(alpha=alpha)
-        self._previous: Optional[FleetRegistry] = None
-
-    def __enter__(self) -> FleetRegistry:
-        global _active
-        self._previous = _active
-        _active = self._registry
-        return self._registry
-
-    def __exit__(self, *exc) -> bool:
-        global _active
-        _active = self._previous
-        return False
+@contextmanager
+def fleet_scope() -> Iterator[FleetRegistry]:
+    """Enable a fresh registry inside, restore the previous one after.
+    Inside an observation it takes over the SLO producers only:
+    ``counters.incr`` keeps recording into the collector's registry."""
+    global _active
+    previous = _active
+    registry = _active = FleetRegistry()
+    try:
+        yield registry
+    finally:
+        _active = previous
 
 
 # ----------------------------------------------------------------------

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.obs.metrics import SCHEMA as METRICS_SCHEMA
-
-# Inlined (must match repro.bench.core.BENCH_SCHEMA): importing the
-# bench package would drag the application suite into a pure renderer.
-BENCH_SCHEMA = "repro.bench/1"
+from repro.obs.metrics import BENCH_SCHEMA, SCHEMA as METRICS_SCHEMA
 
 # Span names that make up the host phase-timer table, in pipeline order.
 PHASE_SPANS = (

@@ -3,8 +3,9 @@
 One document per evaluation run.  Each experiment contributes an entry
 with its wall time, counters, per-pass compiler timings, and a summary of
 every simulation it ran (cycles, energy breakdown, stall counters,
-per-unit busy cycles).  The file round-trips through ``json.load`` and is
-the input to ``python -m repro.obs report``.
+per-unit busy cycles), and its registry section as ``fleet``.  The file
+round-trips through ``json.load`` and is the input to ``python -m
+repro.obs report``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from typing import Any, Dict, List, Optional
 from repro.obs.core import Snapshot
 
 SCHEMA = "repro.obs.metrics/1"
+# repro.bench's document schema, here so the obs renderers need not
+# import the application suite.
+BENCH_SCHEMA = "repro.bench/1"
 
 # Heavy per-instruction payloads excluded from the flat metrics file
 # (they live in the Chrome trace instead).  The aggregate
@@ -29,20 +33,20 @@ def simulation_summary(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def experiment_entry(experiment_id: str, elapsed_s: float,
-                     snapshot: Snapshot,
-                     extra: Optional[Dict[str, Any]] = None
-                     ) -> Dict[str, Any]:
-    """Flatten one experiment's drained snapshot into a metrics entry."""
+                     snapshot: Snapshot) -> Dict[str, Any]:
+    """Flatten one experiment's drained snapshot into a metrics entry;
+    a non-empty registry section rides along as ``fleet``."""
     entry: Dict[str, Any] = {
         "experiment": experiment_id,
         "elapsed_s": elapsed_s,
-        "counters": dict(snapshot.counters),
+        "counters": snapshot.counters,
         "pass_timings_s": snapshot.span_totals(category="compiler.pass"),
         "span_timings_s": snapshot.span_totals(),
         "simulations": [simulation_summary(r) for r in snapshot.sims],
     }
-    if extra:
-        entry.update(extra)
+    metrics = snapshot.metrics
+    if metrics.get("series") or metrics.get("windows"):
+        entry["fleet"] = metrics
     return entry
 
 

@@ -248,8 +248,6 @@ def render_slo(result: Dict[str, Any]) -> str:
             f"{_fmt_latency(row['p99_s'])}  "
             f"{row['latency_unit'] or '-'}"
         )
-    if not result["rows"]:
-        lines.append("  (no fleet.solve.* series in this document)")
     targets = ", ".join(
         f"{name}={value}" for name, value in
         sorted(result["targets"].items()) if value is not None)

@@ -105,7 +105,8 @@ def _copy_result(result: SimulationResult, **changes) -> SimulationResult:
 
 
 class _RunState:
-    """What one run's analyses are computed from, on first read.
+    """What one run's schedule and analyses are computed from, on first
+    read.
 
     :class:`~repro.sim.stats.SimulationResult` calls each method at most
     once, when its attribute is first read; the lists come from the
@@ -124,6 +125,10 @@ class _RunState:
         self.start = start
         self.finish = finish
         self.tracker = tracker
+
+    def schedule(self) -> Dict[int, Tuple[float, float]]:
+        return {uid: (self.start[uid], self.finish[uid])
+                for uid in self.start}
 
     def attribution(self, result: SimulationResult):
         return compute_attribution(self.program, self.latencies,
@@ -162,7 +167,6 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def run(self, program: Program, policy: str = "ooo",
-            record_schedule: bool = False,
             fault_plan=None) -> SimulationResult:
         """Simulate ``program`` under ``policy``.
 
@@ -176,8 +180,8 @@ class Simulator:
         A fault-free run whose structure and configuration the slot has
         already simulated replays the kept outcome instead
         (``sim.memo.hit``/``sim.memo.miss`` count both).  Every call
-        returns its own result, whose analyses are computed from
-        ``program`` on first read, and records one telemetry record
+        returns its own result, whose schedule and analyses are computed
+        from ``program`` on first read, and records one telemetry record
         when observing.  Under ``obs.enable(debug=True)`` a replay is
         checked against a fresh simulation and raises
         :class:`SimulationError` on any difference.  A run with a
@@ -191,7 +195,7 @@ class Simulator:
         with obs.trace.span("simulate", category="host.phase",
                             policy=policy,
                             instructions=len(program.instructions)):
-            return self._run(program, policy, record_schedule, fault_plan)
+            return self._run(program, policy, fault_plan)
 
     def _tables(self, program: Program) -> _StructureTables:
         """The program's structure tables, costed for this config's
@@ -210,7 +214,7 @@ class Simulator:
         return tables
 
     def _run(self, program: Program, policy: str,
-             record_schedule: bool, fault_plan) -> SimulationResult:
+             fault_plan) -> SimulationResult:
         tables = self._tables(program)
         latencies = tables.latencies
         energies = tables.energies
@@ -232,12 +236,9 @@ class Simulator:
                 result.fault_counts = fault_counts
                 for kind, value in fault_counts.items():
                     obs.counters.incr(f"resilience.sim.{kind}", value)
-        start, finish = outcome.start, outcome.finish
-        result.run_state = _RunState(program, latencies, energies, start,
-                                     finish, outcome.tracker)
-        if record_schedule or obs.is_enabled():
-            result.schedule = {uid: (start[uid], finish[uid])
-                               for uid in start}
+        result.run_state = _RunState(program, latencies, energies,
+                                     outcome.start, outcome.finish,
+                                     outcome.tracker)
         if obs.is_enabled():
             if obs.debug_enabled():
                 self._check_schedule_invariants(program, result, latencies)

@@ -48,9 +48,6 @@ class SimulationResult:
     # "retry_cycles", "drop_cycles"), populated only when the run was
     # given a fault plan; empty for fault-free simulation.
     fault_counts: Dict[str, float] = field(default_factory=dict)
-    # Optional per-instruction schedule: uid -> (start, finish) cycles,
-    # recorded when Simulator.run(record_schedule=True).
-    schedule: Dict[int, tuple] = field(default_factory=dict)
     # Supervised-solve degradation summary (retries, demotions, breaker
     # state) when the workload ran under repro.resilience.supervisor;
     # None for unsupervised runs.
@@ -60,9 +57,16 @@ class SimulationResult:
     # a hand-built result, whose analyses are then None too.
     run_state: Any = field(default=None, repr=False, compare=False)
 
-    # The three analyses are computed on first read, once each, from
-    # run_state: a caller that reads only cycles and energy never pays
-    # for them.
+    # The schedule and the three analyses are computed on first read,
+    # once each, from run_state: a caller that reads only cycles and
+    # energy never pays for them.
+    @cached_property
+    def schedule(self) -> Dict[int, tuple]:
+        """Per-instruction schedule: uid -> (start, finish) cycles;
+        empty for a result with no run state."""
+        state = self.run_state
+        return {} if state is None else state.schedule()
+
     @cached_property
     def attribution(self) -> Optional["Attribution"]:
         """Provenance-attributed busy cycles and dynamic energy
@@ -116,7 +120,7 @@ class SimulationResult:
         The single source of truth for exporting a simulation outcome:
         the metrics exporter, bench harness, and profile CLI all build
         on this shape.  ``include_schedule`` additionally embeds the
-        per-instruction ``schedule`` map when one was recorded.
+        per-instruction ``schedule`` map when the result has one.
         """
         out: Dict[str, Any] = {
             "policy": self.policy,

@@ -1,7 +1,7 @@
 """Text timeline rendering of simulated schedules.
 
-Turns a recorded schedule (``Simulator.run(..., record_schedule=True)``)
-into a per-unit-class occupancy strip — the quickest way to *see* why
+Turns a simulated schedule (``SimulationResult.schedule``) into a
+per-unit-class occupancy strip — the quickest way to *see* why
 out-of-order execution wins: under OoO the matmul/QR strips overlap, under
 the naive controller they interleave serially.
 """
@@ -28,8 +28,8 @@ def render_timeline(program: Program, result: SimulationResult,
     """
     if not result.schedule:
         raise SimulationError(
-            "no schedule recorded; run the simulator with "
-            "record_schedule=True"
+            "result has no schedule; render a result returned by "
+            "Simulator.run"
         )
     if width < 8:
         raise SimulationError("timeline width must be >= 8")

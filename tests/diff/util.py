@@ -133,8 +133,7 @@ def replay_program(compiled, policy="ooo"):
     from repro.eval import ORIANNA_CONFIG
     from repro.sim import Simulator
 
-    result = Simulator(ORIANNA_CONFIG).run(compiled.program, policy,
-                                           record_schedule=True)
+    result = Simulator(ORIANNA_CONFIG).run(compiled.program, policy)
     order = sorted(compiled.program.instructions,
                    key=lambda i: (result.schedule[i.uid][0], i.uid))
     replay = Program(algorithm=compiled.program.algorithm)

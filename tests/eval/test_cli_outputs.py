@@ -56,6 +56,22 @@ class TestMetricsExport:
     def test_obs_disabled_after_run(self, tmp_path):
         run_cli("--only", "S43", "--metrics", str(tmp_path / "m.json"))
         assert not obs.is_enabled()
+        assert obs.fleet.active() is None
+
+    def test_counters_are_the_fleet_section_totals(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        run_cli("--only", "LBRK", "--metrics", str(path))
+        (entry,) = json.loads(path.read_text())["experiments"]
+        totals = {}
+        for series in entry["fleet"]["series"]:
+            assert series["kind"] == "counter"
+            totals[series["name"]] = \
+                totals.get(series["name"], 0.0) + series["value"]
+        assert totals == entry["counters"]
+        # Every fault-free simulation replays or is kept, whichever this
+        # process saw first.
+        memo = [totals.get(f"sim.memo.{kind}", 0) for kind in ("hit", "miss")]
+        assert sum(memo) >= 1
 
 
 class TestTraceExportFlag:

@@ -3,7 +3,7 @@
 import threading
 
 from repro import obs
-from repro.obs import core, counters, trace
+from repro.obs import core, counters, fleet, trace
 
 
 class TestEnableDisable:
@@ -84,19 +84,20 @@ class TestSpans:
 class TestCounters:
     def test_disabled_incr_is_noop(self):
         counters.incr("k")
-        assert obs.collector().counters == {}
+        assert obs.collector().registry.snapshot()["series"] == []
+        assert obs.collector().drain().counters == {}
 
     def test_incr_accumulates(self):
         obs.enable()
         counters.incr("k")
         counters.incr("k", 2.5)
-        counters.merge("pre", {"x": 2, "y": 3})
         snap = obs.collector().drain()
-        assert snap.counters == {"k": 3.5, "pre.x": 2.0, "pre.y": 3.0}
+        assert snap.counters == {"k": 3.5}
 
     def test_concurrent_increments_and_spans_are_not_lost(self):
-        # The collector guards its dicts with one lock; a dropped update
-        # here would mean unlocked read-modify-write snuck back in.
+        # The collector and its registry each guard their state with a
+        # lock; a dropped update here would mean unlocked
+        # read-modify-write snuck back in.
         obs.enable()
 
         def worker():
@@ -129,3 +130,65 @@ class TestDrain:
 
     def test_collector_is_process_global(self):
         assert core.collector() is obs.collector()
+
+
+class TestOneMetricStore:
+    """Counters are series of the observation's registry, which is also
+    the active fleet registry while observing."""
+
+    def test_incr_lands_in_the_registry_and_drain_clears_it(self):
+        with obs.enabled_scope() as collector:
+            with fleet.label_scope(app="A"):
+                counters.incr("sim.memo.hit")
+            with fleet.label_scope(app="B"):
+                counters.incr("sim.memo.hit", 2.0)
+            counters.incr("sim.memo.miss")
+            series = collector.registry.snapshot()["series"]
+            snap = collector.drain()
+        assert {(e["name"], tuple(e["labels"].items())): e["value"]
+                for e in series} == {
+            ("sim.memo.hit", (("app", "A"),)): 1.0,
+            ("sim.memo.hit", (("app", "B"),)): 2.0,
+            ("sim.memo.miss", ()): 1.0,
+        }
+        assert snap.metrics["schema"] == fleet.FLEET_SCHEMA
+        assert snap.metrics["series"] == series
+        assert snap.counters == {"sim.memo.hit": 3.0, "sim.memo.miss": 1.0}
+        assert obs.collector().drain().metrics["series"] == []
+
+    def test_observation_registry_is_the_active_fleet_registry(self):
+        assert fleet.active() is None
+        with obs.enabled_scope() as collector:
+            assert fleet.active() is collector.registry
+            fleet.active().incr(fleet.M_SOLVE_TOTAL, executor="fused")
+            with obs.enabled_scope(debug=True):
+                assert fleet.active() is collector.registry
+            assert fleet.active() is collector.registry
+        assert fleet.active() is None
+        assert obs.collector().drain().counters == {fleet.M_SOLVE_TOTAL: 1.0}
+
+    def test_an_active_registry_is_left_in_place(self):
+        outer = fleet.enable()
+        with obs.enabled_scope():
+            assert fleet.active() is outer
+            counters.incr("sim.memo.hit")
+        assert fleet.active() is outer
+        assert outer.snapshot()["series"] == []
+        assert obs.collector().drain().counters == {"sim.memo.hit": 1.0}
+
+    def test_fleet_scope_outside_observing_records_no_counter(self):
+        with fleet.fleet_scope() as registry:
+            counters.incr("sim.memo.hit")
+        assert registry.snapshot()["series"] == []
+        assert obs.collector().drain().metrics["series"] == []
+
+    def test_fleet_scope_inside_observation_gets_only_slo_series(self):
+        with obs.enabled_scope() as collector:
+            with fleet.fleet_scope() as registry:
+                counters.incr("compiler.cache.hit")
+                fleet.active().incr(fleet.M_SOLVE_TOTAL, executor="x")
+            assert fleet.active() is collector.registry
+            snap = collector.drain()
+        assert [e["name"] for e in registry.snapshot()["series"]] == \
+            [fleet.M_SOLVE_TOTAL]
+        assert snap.counters == {"compiler.cache.hit": 1.0}

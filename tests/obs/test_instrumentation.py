@@ -106,7 +106,7 @@ class TestSimulatorTelemetry:
         assert record["policy"] == "ooo"
         assert record["total_cycles"] == result.total_cycles
         assert record["stall_counts"] == result.stall_counts
-        assert record["schedule"]  # forced on while observing
+        assert record["schedule"]  # the telemetry carries the schedule
         assert set(record["utilization"]) == set(result.unit_busy_cycles)
 
     def test_stall_kinds_reflect_policy(self):
@@ -138,7 +138,7 @@ class TestSimulatorTelemetry:
 
         compiled = pose_chain()
         sim = Simulator()
-        result = sim.run(compiled.program, "ooo", record_schedule=True)
+        result = sim.run(compiled.program, "ooo")
         latencies = sim._latencies(compiled.program)
         # Sane schedule passes...
         sim._check_schedule_invariants(compiled.program, result, latencies)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs.core import Snapshot, SpanRecord
+from repro.obs.fleet import FleetRegistry
 from repro.obs.metrics import (
     SCHEMA,
     experiment_entry,
@@ -17,6 +18,8 @@ from repro.obs.metrics import (
 
 
 def fake_snapshot():
+    registry = FleetRegistry()
+    registry.incr("compiler.cse.hits", 3.0)
     return Snapshot(
         spans=[
             SpanRecord("cse", "compiler.pass", 0.0, 0.5,
@@ -24,7 +27,7 @@ def fake_snapshot():
             SpanRecord("cse", "compiler.pass", 1.0, 0.25, {}),
             SpanRecord("gn.iteration", "optimizer", 0.0, 0.1, {}),
         ],
-        counters={"compiler.cse.hits": 3.0},
+        metrics=registry.snapshot(),
         sims=[{
             "policy": "ooo",
             "total_cycles": 100,
@@ -59,9 +62,11 @@ class TestExperimentEntry:
         assert entry["counters"] == {"compiler.cse.hits": 3.0}
         assert len(entry["simulations"]) == 1
 
-    def test_extra_fields_merge(self):
-        entry = experiment_entry("X", 0.0, Snapshot(), extra={"note": "n"})
-        assert entry["note"] == "n"
+    def test_registry_section_rides_along_as_fleet(self):
+        snapshot = fake_snapshot()
+        entry = experiment_entry("F13", 1.0, snapshot)
+        assert entry["fleet"] == snapshot.metrics
+        assert "fleet" not in experiment_entry("X", 0.0, Snapshot())
 
 
 class TestDocument:

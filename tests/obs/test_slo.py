@@ -231,3 +231,49 @@ class TestTopCli:
         path.write_text(json.dumps({"workloads": {}}))
         assert main(["top", str(path)]) == 2
         capsys.readouterr()
+
+
+def counters_only_metrics(tmp_path):
+    """A metrics document of two experiments whose registries hold
+    instrumentation counters alone, as ``repro.eval`` writes it."""
+    from repro import obs
+    from repro.obs import counters
+    from repro.obs.metrics import experiment_entry, write_metrics
+
+    entries = []
+    for experiment, hits in (("F13", 1), ("F19", 2)):
+        with obs.enabled_scope() as collector:
+            for _ in range(hits):
+                counters.incr("sim.memo.hit")
+            counters.incr("sim.memo.miss")
+            entries.append(experiment_entry(experiment, 0.1,
+                                            collector.drain()))
+    path = tmp_path / "metrics.json"
+    write_metrics(path, entries)
+    return path
+
+
+class TestMetricsDocumentCounters:
+    def test_slo_exits_two_without_slo_series(self, tmp_path, capsys):
+        path = counters_only_metrics(tmp_path)
+        assert main(["slo", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "fleet.solve" in captured.err
+        assert captured.out == ""
+
+    def test_top_exports_merged_instrumentation_counters(self, tmp_path):
+        from repro.obs.fleet import parse_prometheus_text, to_prometheus
+
+        document = json.loads(counters_only_metrics(tmp_path).read_text())
+        section = collect_fleet(document)
+        families = parse_prometheus_text(to_prometheus(section))
+        assert families["repro_sim_memo_hit_total"]["samples"] == \
+            [("repro_sim_memo_hit_total", "", 3.0)]
+        assert families["repro_sim_memo_miss_total"]["type"] == "counter"
+
+        prom = tmp_path / "m.prom"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["top", str(tmp_path / "metrics.json"),
+                         "--prom", str(prom)])
+        assert code == 0
+        assert parse_prometheus_text(prom.read_text()) == families

@@ -187,11 +187,12 @@ class TestSchedulelessRecords:
         assert all(e["ph"] == "M" for e in loaded["traceEvents"])
 
     def test_unscheduled_run_exports_cleanly(self, tmp_path):
-        """record_schedule=False + no obs: telemetry-free result still
-        exports (the collector simply has no sim records)."""
+        """A run while not observing records no sim record and builds no
+        schedule; the empty snapshot still exports."""
         compiled = pose_chain()
-        result = Simulator().run(compiled.program, "ooo",
-                                 record_schedule=False)
-        assert result.schedule == {}
-        document = chrome_trace(obs.Snapshot())
+        result = Simulator().run(compiled.program, "ooo")
+        assert "schedule" not in vars(result)
+        snapshot = obs.collector().drain()
+        assert snapshot.sims == []
+        document = chrome_trace(snapshot)
         json.dumps(document)

@@ -29,8 +29,7 @@ def pose_graph(n=6, seed=0):
 @pytest.fixture(scope="module")
 def result():
     compiled = pose_graph()
-    return Simulator().run(compiled.optimized().program, "ooo",
-                           record_schedule=True)
+    return Simulator().run(compiled.optimized().program, "ooo")
 
 
 class TestAttribution:

@@ -88,8 +88,7 @@ def digest(case):
         fault_plan = plan_faults(program, FAULT_SPECS[case["fault"]])
     result = Simulator(CONFIGS[case["config"]],
                        issue_width=case["width"]).run(
-        program, case["policy"], record_schedule=True,
-        fault_plan=fault_plan)
+        program, case["policy"], fault_plan=fault_plan)
     accounting = result.cycle_accounting
     critical_path = result.critical_path
     doc = {

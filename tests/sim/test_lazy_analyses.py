@@ -1,12 +1,14 @@
-"""The simulator's analyses are computed on first read, once each.
+"""The simulator's schedule and analyses are computed on first read,
+once each.
 
-``SimulationResult.attribution``, ``.critical_path`` and
+``SimulationResult.schedule``, ``.attribution``, ``.critical_path`` and
 ``.cycle_accounting`` come from state the run keeps.  Call counts on
 the names :mod:`repro.sim.engine` binds show that a caller reading only
-cycles and energy never pays for them, that every analysis runs at most
-once per result, and that debug runs still compute all three (their
-invariant checks read them).  Counting, not timing, so these hold on
-any host.
+cycles and energy never pays for the analyses, that every analysis runs
+at most once per result, and that debug runs still compute all three
+(their invariant checks read them); the result's own attributes show
+that such a caller builds no schedule dict either.  Counting, not
+timing, so these hold on any host.
 """
 
 import json
@@ -61,6 +63,16 @@ def test_cycles_and_energy_compute_no_analysis(program, calls):
     assert counts(calls) == dict.fromkeys(ANALYSES, 0)
 
 
+def test_cycles_and_energy_build_no_schedule(program):
+    result = Simulator(ORIANNA_CONFIG).run(program, "ooo")
+    assert result.total_cycles > 0 and result.energy_mj > 0
+    result.to_dict()
+    assert "schedule" not in vars(result)
+    schedule = result.schedule
+    assert len(schedule) == len(program.instructions)
+    assert result.schedule is schedule
+
+
 def test_to_dict_computes_each_analysis_once(program, calls):
     result = Simulator(ORIANNA_CONFIG).run(program, "ooo")
     before = counts(calls)
@@ -77,8 +89,8 @@ def test_to_dict_computes_each_analysis_once(program, calls):
 @pytest.mark.parametrize("policy", ["ooo", "inorder"])
 def test_forcing_order_does_not_change_the_dump(program, policy):
     sim = Simulator(ORIANNA_CONFIG)
-    golden_order = sim.run(program, policy, record_schedule=True)
-    reverse = sim.run(program, policy, record_schedule=True)
+    golden_order = sim.run(program, policy)
+    reverse = sim.run(program, policy)
     reverse.attribution
     reverse.critical_path
     reverse.cycle_accounting

@@ -75,7 +75,7 @@ def check_schedule(program, result, config):
 def test_schedule_is_physically_valid(seed, n, policy):
     program = random_program(seed, n)
     config = AcceleratorConfig()
-    result = Simulator(config).run(program, policy, record_schedule=True)
+    result = Simulator(config).run(program, policy)
     check_schedule(program, result, config)
 
 
@@ -87,19 +87,22 @@ def test_multi_unit_concurrency_respected(seed):
     program = random_program(seed, 5)
     config = AcceleratorConfig().with_extra_unit(UNIT_MATMUL)
     config = config.with_extra_unit(UNIT_QR)
-    result = Simulator(config).run(program, "ooo", record_schedule=True)
+    result = Simulator(config).run(program, "ooo")
     check_schedule(program, result, config)
 
 
-def test_schedule_not_recorded_by_default():
+def test_schedule_built_on_first_read():
     program = random_program(0, 3)
     result = Simulator().run(program, "ooo")
-    assert result.schedule == {}
+    assert "schedule" not in vars(result)
+    schedule = result.schedule
+    assert set(schedule) == {i.uid for i in program.instructions}
+    assert result.schedule is schedule
 
 
 def test_sequential_schedule_never_overlaps():
     program = random_program(1, 4)
-    result = Simulator().run(program, "sequential", record_schedule=True)
+    result = Simulator().run(program, "sequential")
     instr_of = {i.uid: i for i in program.instructions}
     spans = sorted(
         (s, f) for uid, (s, f) in result.schedule.items()

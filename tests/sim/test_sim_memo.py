@@ -79,7 +79,7 @@ def test_hit_equals_fresh(app_name, fresh_cache, simulations):
     for seed, program in zip(SEEDS, programs):
         for policy, width in SETTINGS:
             result = Simulator(ORIANNA_CONFIG, issue_width=width).run(
-                program, policy, record_schedule=True)
+                program, policy)
             kept[seed, policy, width] = full_dump(result)
     slots = len({id(program.structure_slot()) for program in programs})
     assert simulations[0] == slots * len(SETTINGS)
@@ -89,7 +89,7 @@ def test_hit_equals_fresh(app_name, fresh_cache, simulations):
         program = app.compile_frame(seed)
         for policy, width in SETTINGS:
             fresh = Simulator(ORIANNA_CONFIG, issue_width=width).run(
-                program, policy, record_schedule=True)
+                program, policy)
             assert full_dump(fresh) == kept[seed, policy, width], \
                 (seed, policy, width)
     assert simulations[0] == (slots + len(SEEDS)) * len(SETTINGS)
@@ -155,7 +155,7 @@ def test_mutating_a_result_leaves_the_next_hit_unchanged(program):
     sim = Simulator(ORIANNA_CONFIG)
     expected = None
     for _ in range(3):
-        result = sim.run(program, record_schedule=True)
+        result = sim.run(program)
         dump = full_dump(result)
         expected = expected or dump
         assert dump == expected

@@ -8,7 +8,13 @@ from repro.compiler import compile_graph
 from repro.factorgraph import FactorGraph, Isotropic, Values, X
 from repro.factors import BetweenFactor, PriorFactor
 from repro.geometry import Pose
-from repro.sim import Simulator, busy_summary, render_timeline
+from repro.sim import (
+    EnergyBreakdown,
+    SimulationResult,
+    Simulator,
+    busy_summary,
+    render_timeline,
+)
 
 
 @pytest.fixture(scope="module")
@@ -26,26 +32,26 @@ def compiled():
 
 class TestRenderTimeline:
     def test_contains_all_unit_strips(self, compiled):
-        result = Simulator().run(compiled.program, "ooo",
-                                 record_schedule=True)
+        result = Simulator().run(compiled.program, "ooo")
         text = render_timeline(compiled.program, result)
         for unit in ("matmul", "qr", "vector", "special", "bsub"):
             assert unit in text
 
     def test_phases_marked(self, compiled):
-        result = Simulator().run(compiled.program, "ooo",
-                                 record_schedule=True)
+        result = Simulator().run(compiled.program, "ooo")
         text = render_timeline(compiled.program, result)
         assert "c" in text and "Q" in text and "b" in text
 
     def test_requires_recorded_schedule(self, compiled):
-        result = Simulator().run(compiled.program, "ooo")
-        with pytest.raises(SimulationError):
+        # A hand-built result has no run state, hence no schedule.
+        result = SimulationResult(
+            policy="ooo", total_cycles=10, clock_mhz=100.0,
+            energy=EnergyBreakdown(), instruction_count=1, issued_count=1)
+        with pytest.raises(SimulationError, match="no schedule"):
             render_timeline(compiled.program, result)
 
     def test_width_validated(self, compiled):
-        result = Simulator().run(compiled.program, "ooo",
-                                 record_schedule=True)
+        result = Simulator().run(compiled.program, "ooo")
         with pytest.raises(SimulationError):
             render_timeline(compiled.program, result, width=2)
 
@@ -54,7 +60,7 @@ class TestRenderTimeline:
         sim = Simulator()
 
         def overlap(policy):
-            result = sim.run(compiled.program, policy, record_schedule=True)
+            result = sim.run(compiled.program, policy)
             lines = render_timeline(compiled.program, result).splitlines()
             strips = {}
             for line in lines[1:]:
