@@ -14,9 +14,12 @@ fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
   says where its numerics come from: a variable's pose/vector estimate,
   a factor's whitening matrix, a constant node of the factor's
   expression DAG, or the factor object itself for host-side EMBED.
-- On a cache hit, :func:`rebind` re-evaluates only those specs against
-  the new ``(graph, values)`` pair — no codegen, no ordering search, no
-  QR layout computation — and shares every value-free instruction.
+- This module is the one reader of those specs: :func:`value_sites`
+  indexes them once per program structure and a :class:`Binder`
+  resolves them.  On a cache hit, :func:`rebind` re-evaluates only the
+  indexed sites against the new ``(graph, values)`` pair — no codegen,
+  no ordering search, no QR layout computation — and shares every
+  value-free instruction.
 - A cached structure keeps one template per stream *name* (the label
   that is both a stream's algorithm tag and its register prefix, e.g.
   ``control#3``).  The structure's first name compiles cold; a new name
@@ -34,8 +37,7 @@ fresh numerics (Fig. 3).  The software pipeline mirrors that split here:
 Only frames (:func:`~repro.compiler.codegen.compile_application`) use
 the cache.  Optimizer solves, supervised ones included, refresh one
 program in place in a solve session (:class:`~repro.optim.compiled.
-CompiledSolver`), which shares :func:`factor_token` and the binding
-specs with this module.
+CompiledSolver`), through the same index and binder.
 
 Soundness notes:
 
@@ -48,9 +50,9 @@ Soundness notes:
   name would emit.
 - The cache compiles with the default (min-degree) ordering and keys it
   with a ``default`` sentinel, so a hit reuses the template's stored
-  ordering: min-degree ordering depends only on sparsity structure, so
-  it is identical — and the (expensive) linearize it requires is
-  skipped.
+  ordering: min-degree ordering depends only on sparsity structure,
+  which the structural key covers, so it is identical and no ordering
+  search runs on a hit.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +76,8 @@ from repro.compiler.exprs import (
     VecVar,
 )
 from repro.compiler.isa import Instruction, Opcode, Program, StructureSlot
+from repro.compiler.library import factor_expression
+from repro.compiler.modfg import GenMatVec, MoDFG
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
@@ -91,36 +96,19 @@ BIND_NOISE = "noise"        # ("noise", fid)     -> factor.noise.sqrt_informatio
 BIND_EXPR = "expr"          # ("expr", fid, i)   -> i-th DAG node's constant
 BIND_EMBED = "embed"        # ("embed", fid)     -> the factor object itself
 
+_VARIABLE_SPECS = (BIND_POSE_PHI, BIND_POSE_T, BIND_VECTOR)
+
 
 @dataclass
 class GraphStructure:
-    """A graph's structural cache key plus lazily built per-factor DAG
-    nodes for resolving ``("expr", fid, i)`` binding specs."""
+    """A graph's structural cache key."""
 
     key: Tuple
-    _graph: FactorGraph
-    _factor_nodes: Dict[int, List[Expr]]
 
     @property
     def fingerprint(self) -> str:
         """Stable hex digest of the structural key (for reporting)."""
         return hashlib.sha256(repr(self.key).encode("utf-8")).hexdigest()
-
-    def nodes_for(self, factor_id: int) -> List[Expr]:
-        """The factor's MO-DFG nodes in topological order (memoized)."""
-        nodes = self._factor_nodes.get(factor_id)
-        if nodes is None:
-            from repro.compiler.library import factor_expression
-            from repro.compiler.modfg import MoDFG
-
-            components = factor_expression(self._graph.factor(factor_id))
-            if components is None:
-                raise CompileError(
-                    f"factor {factor_id} has no expression DAG"
-                )
-            nodes = MoDFG(components).nodes
-            self._factor_nodes[factor_id] = nodes
-        return nodes
 
 
 def _build_rename_map(register_shapes: Dict[str, Any], old_prefix: str,
@@ -161,8 +149,6 @@ def _expr_signature(nodes: List[Expr]) -> Tuple:
     deterministic DFS, so equal signatures imply position-identical
     node lists and the ``("expr", fid, i)`` indices line up.
     """
-    from repro.compiler.modfg import GenMatVec
-
     index = {id(n): i for i, n in enumerate(nodes)}
     sig = []
     for node in nodes:
@@ -220,8 +206,6 @@ def factor_token(factor, values: Values) -> Tuple:
     compares them when a solve passes a new factor object, so both
     share one definition of "same structure".
     """
-    from repro.compiler.library import factor_expression
-
     type_name = type(factor).__name__
     if type_name in _STRUCTURAL_FACTOR_TYPES:
         shape_token: Tuple = ("lib",)
@@ -233,8 +217,6 @@ def factor_token(factor, values: Values) -> Tuple:
                 tuple(int(values.dim(k)) for k in factor.keys),
             )
         else:
-            from repro.compiler.modfg import MoDFG
-
             shape_token = ("expr",
                            _expr_signature(MoDFG(components).nodes))
     return (
@@ -260,84 +242,135 @@ def graph_structure(graph: FactorGraph, values: Values,
     # seed the supervisor's backoff and sentinel streams, whose draws
     # the golden chaos document records.
     key = (factor_tokens, variable_tokens, ordering_token, ())
-    return GraphStructure(key=key, _graph=graph, _factor_nodes={})
+    return GraphStructure(key)
+
+
+# ----------------------------------------------------------------------
+# Value sites and the binder: the one reader of binding specs
+# ----------------------------------------------------------------------
+
+class ValueSites:
+    """Where one program structure's CONST/EMBED instructions sit.
+
+    ``every_solve`` and ``per_factor`` list ``(position, spec)`` in
+    program order, grouped by when a session refresh rewrites them:
+    every solve (CONSTs bound to variable estimates, and EMBEDs), or
+    when the factor object changes (``noise`` and ``expr`` CONSTs).
+    ``static`` lists the shape-only CONSTs nothing rewrites, and
+    ``persistent`` the ``(position, kind)`` of every CONST that keeps
+    its compiled value while its factor object is unchanged (static,
+    ``noise`` and ``expr``), in program order.
+    """
+
+    __slots__ = ("every_solve", "per_factor", "static", "persistent")
+
+    def __init__(self, instructions: Sequence[Instruction]):
+        self.every_solve: List[Tuple[int, Tuple]] = []
+        self.per_factor: List[Tuple[int, Tuple]] = []
+        self.static: List[int] = []
+        self.persistent: List[Tuple[int, str]] = []
+        for position, instr in enumerate(instructions):
+            if instr.op is Opcode.EMBED:
+                self.every_solve.append((position, instr.meta["binding"]))
+            elif instr.op is Opcode.CONST:
+                spec = instr.meta.get("binding") or (BIND_STATIC,)
+                if spec[0] in _VARIABLE_SPECS:
+                    self.every_solve.append((position, spec))
+                    continue
+                if spec[0] == BIND_STATIC:
+                    self.static.append(position)
+                else:
+                    self.per_factor.append((position, spec))
+                self.persistent.append((position, spec[0]))
+
+
+def value_sites(program: Program) -> ValueSites:
+    """The value-site index of ``program``'s structure, built on first
+    use and shared through its structure slot."""
+    slot = program.structure_slot()
+    if slot.value_sites is None:
+        slot.value_sites = ValueSites(program.instructions)
+    return slot.value_sites
+
+
+class Binder:
+    """Resolves binding specs against one ``(graph, values)`` pair.
+
+    Frame rebinds and session refreshes write their sites through it.
+    Its ``expr`` branch builds each factor's MO-DFG nodes, which
+    ``("expr", fid, i)`` specs index, at most once.
+    """
+
+    __slots__ = ("graph", "values", "_nodes")
+
+    def __init__(self, graph: FactorGraph, values: Values):
+        self.graph = graph
+        self.values = values
+        self._nodes: Dict[int, List[Expr]] = {}
+
+    def write(self, meta: Dict[str, Any], spec: Tuple) -> None:
+        """Write ``spec``'s binding into an instruction's ``meta``: an
+        EMBED's factor and values, a CONST's value."""
+        kind = spec[0]
+        if kind == BIND_EMBED:
+            meta["factor"] = self.graph.factor(spec[1])
+            meta["values"] = self.values
+            return
+        if kind == BIND_POSE_PHI:
+            value = self.values.pose(spec[1]).phi
+        elif kind == BIND_POSE_T:
+            value = self.values.pose(spec[1]).t
+        elif kind == BIND_VECTOR:
+            value = self.values.vector(spec[1])
+        elif kind == BIND_NOISE:
+            value = self.graph.factor(spec[1]).noise.sqrt_information
+        elif kind == BIND_EXPR:
+            nodes = self._nodes.get(spec[1])
+            if nodes is None:
+                components = factor_expression(self.graph.factor(spec[1]))
+                if components is None:
+                    raise CompileError(
+                        f"factor {spec[1]} has no expression DAG")
+                nodes = self._nodes[spec[1]] = MoDFG(components).nodes
+            node = nodes[spec[2]]
+            value = node.matrix if isinstance(node, GenMatVec) \
+                else node.value
+        else:
+            raise CompileError(f"cannot resolve binding spec {spec!r}")
+        meta["value"] = np.asarray(value, dtype=float)
 
 
 # ----------------------------------------------------------------------
 # Rebinding: fresh numerics on a template; renaming a stream template
 # ----------------------------------------------------------------------
 
-def _binding_value(spec: Tuple, graph: FactorGraph, values: Values,
-                   structure: GraphStructure) -> np.ndarray:
-    kind = spec[0]
-    if kind == BIND_POSE_PHI:
-        return values.pose(spec[1]).phi
-    if kind == BIND_POSE_T:
-        return values.pose(spec[1]).t
-    if kind == BIND_VECTOR:
-        return values.vector(spec[1])
-    if kind == BIND_NOISE:
-        return graph.factor(spec[1]).noise.sqrt_information
-    if kind == BIND_EXPR:
-        from repro.compiler.modfg import GenMatVec
-
-        node = structure.nodes_for(spec[1])[spec[2]]
-        return node.matrix if isinstance(node, GenMatVec) else node.value
-    raise CompileError(f"cannot resolve binding spec {spec!r}")
-
-
-def rebind(template: Program,
-           streams: Dict[str, Tuple[FactorGraph, Values, GraphStructure]]
-           ) -> Program:
+def rebind(template: Program, streams: Dict[str, Binder]) -> Program:
     """``template`` re-bound to new numerics in one pass.
 
     ``template`` is a cached stream's program or a frame's merged
-    program, and ``streams`` maps each stream name in it to the new
-    ``(graph, values, structure)``.  Only the value sites (EMBEDs, and
-    CONSTs whose binding spec is not static) are cloned, each resolved
-    from the stream its ``algorithm`` label names; every other
-    instruction object is shared, since instructions are immutable
-    after emission and their uids are final.  The result has the
-    template's structure, so it shares the template's key and slot,
-    which also keeps the sites' positions.
+    program, and ``streams`` maps each stream name in it to the binder
+    of its new ``(graph, values)``.  Only the indexed value sites are
+    cloned, each written by the binder its ``algorithm`` label names;
+    every other instruction object is shared, since instructions are
+    immutable after emission and their uids are final.  The result has
+    the template's structure, so it shares the template's key and slot.
     """
-    slot = template.structure_slot()
-    if slot.value_sites is None:
-        slot.value_sites = [
-            index for index, instr in enumerate(template.instructions)
-            if instr.op is Opcode.EMBED or (
-                instr.op is Opcode.CONST
-                and (instr.meta.get("binding") or (BIND_STATIC,))[0]
-                != BIND_STATIC)]
+    sites = value_sites(template)
     program = Program(algorithm=template.algorithm)
     program.structure_key = template.structure_key
-    program.attach_slot(slot)
+    program.attach_slot(template.structure_slot())
     program._counter = template._counter
     program._reg_counter = template._reg_counter
     program.register_shapes = dict(template.register_shapes)
     out = program.instructions = list(template.instructions)
-    for index in slot.value_sites:
+    for index, spec in chain(sites.every_solve, sites.per_factor):
         instr = out[index]
         name = instr.algorithm
-        graph, values, structure = streams[name]
         meta = dict(instr.meta)
-        spec = meta["binding"]
-        if instr.op is Opcode.EMBED:
-            meta["factor"] = graph.factor(spec[1])
-            meta["values"] = values
-        else:
-            meta["value"] = np.asarray(
-                _binding_value(spec, graph, values, structure), dtype=float)
-        out[index] = Instruction(
-            uid=instr.uid,
-            op=instr.op,
-            srcs=instr.srcs,
-            dsts=instr.dsts,
-            meta=meta,
-            phase=instr.phase,
-            algorithm=name,
-            provenance=instr.provenance,
-        )
+        streams[name].write(meta, spec)
+        out[index] = Instruction(instr.uid, instr.op, instr.srcs,
+                                 instr.dsts, meta, instr.phase, name,
+                                 instr.provenance)
     return program
 
 
@@ -445,20 +478,17 @@ class CompilationCache:
         streams are merged in order with :meth:`Program.extend`, and the
         merged program becomes the slot's template.
         """
-        found = []
-        for name, (graph, values) in streams.items():
-            structure = graph_structure(graph, values)
-            found.append((name, graph, values, structure,
-                          *self._lookup(structure, graph, values, name)))
+        found = [(name, graph, values, *self._lookup(graph, values, name))
+                 for name, (graph, values) in streams.items()]
         key = tuple((entry.identity, name)
-                    for name, _, _, _, entry, _ in found)
+                    for name, _, _, entry, _ in found)
         slot = self._frame_slots.get(key)
         template = None if slot is None else slot.template
         if template is None:
             program = Program(algorithm="application")
-            for name, graph, values, structure, entry, cold in found:
+            for name, graph, values, entry, cold in found:
                 program.extend((cold or self._rebind_stream(
-                    entry, structure, graph, values, name)).program)
+                    entry, graph, values, name)).program)
         elif template.structure_key != key:
             raise CompileError(
                 f"structure slot mismatch: a frame template of "
@@ -470,8 +500,8 @@ class CompilationCache:
                             category="compiler.pass",
                             algorithm=template.algorithm):
                 program = rebind(template, {
-                    name: (graph, values, structure)
-                    for name, graph, values, structure, _, _ in found})
+                    name: Binder(graph, values)
+                    for name, graph, values, _, _ in found})
         slot = self.attach_frame_slot(program, key)
         if slot.template is None:
             slot.template = program
@@ -481,18 +511,16 @@ class CompilationCache:
                        name: str = ""):
         """Compile one stream ``name`` with caching: cold compile on a
         miss, rebind on a hit."""
-        structure = graph_structure(graph, values)
-        entry, cold = self._lookup(structure, graph, values, name)
-        return cold or self._rebind_stream(entry, structure, graph, values,
-                                           name)
+        entry, cold = self._lookup(graph, values, name)
+        return cold or self._rebind_stream(entry, graph, values, name)
 
-    def _lookup(self, structure: GraphStructure, graph: FactorGraph,
-                values: Values, name: str):
+    def _lookup(self, graph: FactorGraph, values: Values, name: str):
         """``(entry, None)`` on a hit; on a miss the new entry and the
         cold compile of stream ``name``."""
-        entry = self._entries.get(structure.key)
+        key = graph_structure(graph, values).key
+        entry = self._entries.get(key)
         if entry is not None:
-            self._entries.move_to_end(structure.key)
+            self._entries.move_to_end(key)
             self.hits += 1
             counters.incr("compiler.cache.hit")
             return entry, None
@@ -501,7 +529,7 @@ class CompilationCache:
         compiled = compile_graph(graph, values, algorithm=name,
                                  register_prefix=name)
         entry = CacheEntry({name: compiled})
-        self._entries[structure.key] = entry
+        self._entries[key] = entry
         while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
         self.misses += 1
@@ -509,8 +537,8 @@ class CompilationCache:
         compiled.program.structure_key = (entry.identity, name)
         return entry, compiled
 
-    def _rebind_stream(self, entry: CacheEntry, structure: GraphStructure,
-                       graph: FactorGraph, values: Values, name: str):
+    def _rebind_stream(self, entry: CacheEntry, graph: FactorGraph,
+                       values: Values, name: str):
         """Stream ``name`` rebound from its own template, which a new
         name renames from the entry's first template once."""
         from repro.compiler.codegen import CompiledGraph
@@ -522,8 +550,7 @@ class CompilationCache:
                 source = entry.templates[name] = _rename(
                     next(iter(entry.templates.values())), name)
                 source.program.structure_key = (entry.identity, name)
-            program = rebind(source.program,
-                             {name: (graph, values, structure)})
+            program = rebind(source.program, {name: Binder(graph, values)})
         return CompiledGraph(program, list(source.row_blocks),
                              dict(source.solution_registers),
                              dict(source.key_dims), list(source.ordering))

@@ -42,6 +42,7 @@ from repro.compiler.provenance import (
 from repro.factorgraph.factor import Factor
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
+from repro.factorgraph.ordering import min_degree_ordering
 from repro.factorgraph.values import Values
 from repro.obs import counters, trace
 
@@ -328,7 +329,7 @@ def _compile_graph(graph: FactorGraph, values: Values,
     all_blocks = list(row_blocks)
 
     if ordering is None:
-        ordering = graph.default_ordering(values)
+        ordering = min_degree_ordering(graph)
     ordering = list(ordering)
     if set(ordering) != set(key_dims):
         raise CompileError("ordering must cover exactly the graph's keys")

@@ -234,9 +234,9 @@ class StructureSlot:
     (:func:`repro.compiler.fused.plan_for`) and ``sim`` the simulator's
     per-uid costs and its last few fault-free outcomes per
     configuration (:meth:`repro.sim.engine.Simulator.run`); each owner
-    fills its field on first use.  ``value_sites`` lists the positions
-    :func:`repro.compiler.cache.rebind` clones, and ``template`` is a
-    frame slot's first merged program, which the compilation cache
+    fills its field on first use.  ``value_sites`` is the value-site
+    index (:func:`repro.compiler.cache.value_sites`), and ``template``
+    is a frame slot's first merged program, which the compilation cache
     rebinds for every later frame of the structure.  ``key`` is the
     structure key the slot was made for: :meth:`Program.structure_slot`
     refuses a program whose own key differs (and the cache a template
@@ -251,7 +251,7 @@ class StructureSlot:
         self.def_use: Optional[DefUse] = None
         self.plan: Any = None
         self.sim: Any = None
-        self.value_sites: Optional[List[int]] = None
+        self.value_sites: Any = None
         self.template: Optional["Program"] = None
 
 

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
 from repro.errors import GraphError
 from repro.factorgraph.factor import Factor
 from repro.factorgraph.keys import Key
 from repro.factorgraph.linear import GaussianFactorGraph
-from repro.factorgraph.ordering import min_degree_ordering
 from repro.factorgraph.values import Values
 
 
@@ -95,10 +92,6 @@ class FactorGraph:
         """Construct the linear system ``A delta = b`` at the estimate."""
         self.check_values(values)
         return GaussianFactorGraph(f.linearize(values) for f in self._factors)
-
-    def default_ordering(self, values: Values) -> List[Key]:
-        """Min-degree ordering over the current structure."""
-        return min_degree_ordering(self.linearize(values))
 
     # ------------------------------------------------------------------
     # Optimization entry point (Sec. 5.1's graph.optimize())

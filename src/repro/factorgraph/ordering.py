@@ -4,6 +4,10 @@ The elimination order strongly affects fill-in during factor-graph
 inference (Sec. 2.2).  Besides user-given orders, a greedy minimum-degree
 heuristic over the variable adjacency graph is provided; it is the default
 used by the compiler and the solver.
+
+The orderings read only ``graph.keys()`` and each factor's ``keys``,
+so they order any graph of keyed factors: a nonlinear ``FactorGraph``
+orders exactly like its linearization, without linearizing.
 """
 
 from __future__ import annotations

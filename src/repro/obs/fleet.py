@@ -237,7 +237,8 @@ class QuantileSketch:
 _labels_local = threading.local()
 
 
-def _label_stack() -> List[Dict[str, str]]:
+def _label_stack() -> List[Tuple[Dict[str, str], Tuple]]:
+    # One (merged labels, sorted key) pair per open scope, innermost last.
     stack = getattr(_labels_local, "stack", None)
     if stack is None:
         stack = []
@@ -247,25 +248,26 @@ def _label_stack() -> List[Dict[str, str]]:
 
 def current_labels() -> Dict[str, str]:
     """The merged ambient label set of this thread (innermost wins)."""
-    merged: Dict[str, str] = {}
-    for frame in _label_stack():
-        merged.update(frame)
-    return merged
+    stack = _label_stack()
+    return dict(stack[-1][0]) if stack else {}
 
 
 class label_scope:
     """Attach labels to every fleet record inside the ``with`` block.
 
-    Per-thread and nestable; inner scopes override outer keys.  The
-    campaigns use this to stamp ``app``/``session`` once per loop so
-    leaf producers (``CompiledSolver``) need no label plumbing.
+    Per-thread and nestable; inner scopes override outer keys, merged
+    and sorted once on entry.  The campaigns use this to stamp ``app``/
+    ``session`` once per loop so leaf producers (``CompiledSolver``)
+    need no label plumbing.
     """
 
     def __init__(self, **labels: Any):
         self._frame = {str(k): str(v) for k, v in labels.items()}
 
     def __enter__(self) -> "label_scope":
-        _label_stack().append(self._frame)
+        merged = current_labels()
+        merged.update(self._frame)
+        _label_stack().append((merged, _label_key(merged)))
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -313,14 +315,18 @@ class FleetRegistry:
                 f"metric {name!r} already registered as "
                 f"{known_kind}/{self._units[name]}, not {kind}/{unit}")
 
-    def _resolve(self, labels: Dict[str, Any]) -> Dict[str, str]:
+    @staticmethod
+    def _key(name: str, labels: Dict[str, Any]) -> Tuple:
+        if not labels:
+            stack = _label_stack()
+            return (name, stack[-1][1] if stack else ())
         merged = current_labels()
         merged.update({str(k): str(v) for k, v in labels.items()})
-        return merged
+        return (name, _label_key(merged))
 
     def incr(self, name: str, amount: float = 1.0,
              unit: str = UNIT_COUNT, **labels: Any) -> None:
-        key = (name, _label_key(self._resolve(labels)))
+        key = self._key(name, labels)
         with self._lock:
             self._register(name, KIND_COUNTER, unit)
             self._series[key] = self._series.get(key, 0.0) + amount
@@ -328,7 +334,7 @@ class FleetRegistry:
 
     def observe(self, name: str, value: float,
                 unit: str = UNIT_SECONDS, **labels: Any) -> None:
-        key = (name, _label_key(self._resolve(labels)))
+        key = self._key(name, labels)
         with self._lock:
             self._register(name, KIND_HISTOGRAM, unit)
             sketch = self._series.get(key)

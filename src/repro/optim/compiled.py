@@ -30,24 +30,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compiler.cache import (
-    BIND_EMBED,
-    BIND_EXPR,
     BIND_NOISE,
-    BIND_POSE_PHI,
-    BIND_POSE_T,
-    BIND_VECTOR,
-    GraphStructure,
-    _binding_value,
+    Binder,
     _value_signature,
     factor_token,
+    value_sites,
 )
-from repro.compiler.isa import Opcode
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.keys import Key
 from repro.factorgraph.values import Values
-
-# Binding specs resolved from the variables' current estimates.
-_VARIABLE_SPECS = (BIND_POSE_PHI, BIND_POSE_T, BIND_VECTOR)
 
 
 class CompiledSolver:
@@ -64,14 +55,14 @@ class CompiledSolver:
       :func:`~repro.compiler.cache.factor_token`;
     - every graph key's value signature is unchanged.
 
-    A refresh rewrites the ``meta["value"]`` of each CONST bound to a
-    variable estimate (``pose_phi``/``pose_t``/``vector``, shape-checked
-    against the bound value) and the ``meta["values"]`` of each EMBED,
-    then drops the fused constant memo.  For a new factor object it
-    also re-resolves that factor's ``noise``/``expr`` constants and
-    points its EMBED at the new object; a bound object's constants were
-    resolved at compile and stay.  Otherwise the session compiles
-    afresh: it never runs its program against a changed structure.
+    A refresh writes the program's indexed value sites
+    (:func:`~repro.compiler.cache.value_sites`) through one
+    :class:`~repro.compiler.cache.Binder`, then drops the fused constant
+    memo: every CONST bound to a variable estimate and every EMBED, and
+    a new factor object's ``noise``/``expr`` constants; a bound
+    object's constants keep their compiled values.  Otherwise the
+    session compiles afresh: it never runs its program against a
+    changed structure.
 
     The session relies on factor objects being immutable once
     constructed, and it owns its program: it rewrites the program's
@@ -147,7 +138,7 @@ class CompiledSolver:
 
     def _bind(self, graph: FactorGraph, values: Values,
               ordering: Optional[Sequence[Key]]) -> None:
-        """Compile ``graph`` cold and index the program's value sites."""
+        """Compile ``graph`` cold and take its sites from the index."""
         from repro.compiler import codegen
 
         self.compiled = codegen.compile_graph(graph, values, ordering)
@@ -156,29 +147,25 @@ class CompiledSolver:
         self._tokens: List[Optional[Tuple]] = [None] * len(self._factors)
         self._signatures = [(k, _value_signature(values.at(k)))
                             for k in self.compiled.key_dims]
-        # (meta, spec, bound shape) of each CONST every refresh
-        # rewrites: variable estimates and robust whitening matrices.
-        self._value_sites: List[Tuple[dict, Tuple, Tuple]] = []
-        self._embeds: List[dict] = []
-        # factor index -> (meta, spec) of its noise/expr CONSTs and EMBED.
+        program = self.compiled.program
+        sites = value_sites(program)
+        # (meta, spec) of each site every refresh rewrites: variable
+        # estimates, EMBEDs and robust whitening matrices.
+        self._every_solve: List[Tuple[dict, Tuple]] = [
+            (program.instructions[p].meta, spec)
+            for p, spec in sites.every_solve]
+        # factor index -> (meta, spec) of its noise/expr CONSTs.
         self._factor_sites: Dict[int, List[Tuple[dict, Tuple]]] = {}
-        for instr in self.compiled.program.instructions:
-            meta = instr.meta
-            spec = meta.get("binding")
-            if spec is None:
-                continue
-            if spec[0] in _VARIABLE_SPECS or (
-                    spec[0] == BIND_NOISE and getattr(
-                        self._factors[spec[1]].noise, "estimator",
-                        None) is not None):
-                self._value_sites.append(
-                    (meta, spec, np.shape(meta["value"])))
-                continue
-            if instr.op is Opcode.EMBED:
-                self._embeds.append(meta)
-            elif spec[0] not in (BIND_NOISE, BIND_EXPR):
-                continue
-            self._factor_sites.setdefault(spec[1], []).append((meta, spec))
+        for position, spec in sites.per_factor:
+            site = (program.instructions[position].meta, spec)
+            # Only the factor knows its noise is robust, and a robust
+            # weight follows the last residual it whitened.
+            if spec[0] == BIND_NOISE and getattr(
+                    self._factors[spec[1]].noise, "estimator",
+                    None) is not None:
+                self._every_solve.append(site)
+            else:
+                self._factor_sites.setdefault(spec[1], []).append(site)
 
     def _token(self, index: int, values: Values) -> Tuple:
         """The bound factor's structural token (computed on first use)."""
@@ -213,26 +200,13 @@ class CompiledSolver:
             if factor_token(factors[i], values) != self._token(i, values):
                 return False
 
-        for meta, spec, shape in self._value_sites:
-            value = np.asarray(_binding_value(spec, graph, values, None),
-                               dtype=float)
-            if value.shape != shape:
-                return False
-            meta["value"] = value
-        for meta in self._embeds:
-            meta["values"] = values
-        if changed:
-            structure = GraphStructure(key=(), _graph=graph,
-                                       _factor_nodes={})
-            for i in changed:
-                for meta, spec in self._factor_sites.get(i, ()):
-                    if spec[0] == BIND_EMBED:
-                        meta["factor"] = factors[i]
-                    else:
-                        meta["value"] = np.asarray(
-                            _binding_value(spec, graph, values, structure),
-                            dtype=float)
-                self._factors[i] = factors[i]
+        binder = Binder(graph, values)
+        for meta, spec in self._every_solve:
+            binder.write(meta, spec)
+        for i in changed:
+            for meta, spec in self._factor_sites.get(i, ()):
+                binder.write(meta, spec)
+            self._factors[i] = factors[i]
         self.compiled.program._fused_const_memo = None
         return True
 

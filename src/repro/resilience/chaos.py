@@ -326,21 +326,16 @@ def run_scenario(app_name: str, graph, values, golden: Dict, top: str,
 
 def _poison_first_static_const(program) -> bool:
     """NaN-poison one static program constant; False if none exist."""
-    from repro.compiler.cache import BIND_STATIC
+    from repro.compiler.cache import value_sites
 
-    for instr in program.instructions:
-        if instr.op is not Opcode.CONST:
-            continue
-        spec = instr.meta.get("binding")
-        if spec is not None and spec[0] != BIND_STATIC:
-            continue
-        value = np.asarray(instr.meta.get("value"), dtype=float)
-        if not value.size:
-            continue
-        bad = value.copy()
-        bad.flat[0] = np.nan
-        instr.meta["value"] = bad
-        return True
+    for position in value_sites(program).static:
+        meta = program.instructions[position].meta
+        value = np.asarray(meta.get("value"), dtype=float)
+        if value.size:
+            bad = value.copy()
+            bad.flat[0] = np.nan
+            meta["value"] = bad
+            return True
     return False
 
 

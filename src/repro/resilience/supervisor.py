@@ -227,40 +227,32 @@ class CircuitBreaker:
 def verify_template_integrity(compiled) -> List[str]:
     """Integrity complaints for a (refreshed) compiled program.
 
-    A session refresh rewrites the value-bearing ``CONST``/``EMBED``
-    numerics from the live ``(graph, values)`` pair — but *static*
-    constants (shape-only zeros/identity seeds, ``meta["binding"]``
-    absent or ``BIND_STATIC``) keep the value of the cold compile, which
-    makes them the one place in-memory corruption survives across
-    refreshes.  This checks every static constant for non-finite values
-    and shape drift against the program's register map; a non-empty
-    result means the program is poisoned and must be compiled afresh,
-    not executed.
+    A session refresh rewrites a factor's ``noise`` and ``expr``
+    constants only when the factor object changes, and static ones
+    (shape-only zeros and identity seeds) never, so in-memory corruption
+    of them survives across refreshes.  This checks each of them
+    (:attr:`~repro.compiler.cache.ValueSites.persistent`), in program
+    order, for non-finite values and shape drift against the program's
+    register map; a non-empty result means the program is poisoned and
+    must be compiled afresh, not executed.
     """
-    from repro.compiler.cache import BIND_STATIC
+    from repro.compiler.cache import value_sites
 
     complaints: List[str] = []
-    shapes = compiled.program.register_shapes
-    for instr in compiled.program.instructions:
-        if instr.op is not Opcode.CONST:
-            continue
-        spec = instr.meta.get("binding")
-        if spec is not None and spec[0] != BIND_STATIC:
-            continue
+    program = compiled.program
+    for position, kind in value_sites(program).persistent:
+        instr = program.instructions[position]
         value = np.asarray(instr.meta.get("value"), dtype=float)
         dst = instr.dsts[0]
+        expected = program.register_shapes.get(dst)
         if not np.all(np.isfinite(value)):
-            complaints.append(
-                f"static constant {dst} (uid {instr.uid}) contains "
-                f"non-finite values"
-            )
+            problem = "contains non-finite values"
+        elif expected is not None and tuple(value.shape) != tuple(expected):
+            problem = (f"has shape {tuple(value.shape)}, register map says "
+                       f"{tuple(expected)}")
+        else:
             continue
-        expected = shapes.get(dst)
-        if expected is not None and tuple(value.shape) != tuple(expected):
-            complaints.append(
-                f"static constant {dst} (uid {instr.uid}) has shape "
-                f"{tuple(value.shape)}, register map says {tuple(expected)}"
-            )
+        complaints.append(f"{kind} constant {dst} (uid {instr.uid}) {problem}")
     return complaints
 
 

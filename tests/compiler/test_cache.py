@@ -202,7 +202,8 @@ class TestStructure:
         assert len(fp) == 64
         int(fp, 16)
 
-    def test_nodes_for_rejects_embedded_factors(self):
+    def test_binder_rejects_embedded_factors(self):
+        from repro.compiler.cache import Binder
         from repro.errors import CompileError
         from repro.factors import CameraFactor, PinholeCamera
 
@@ -213,9 +214,8 @@ class TestStructure:
         cam = PinholeCamera()
         values.insert(Y(0), np.array([0.2, -0.3, 6.0]))
         g2.add(CameraFactor(X(0), Y(0), np.array([1.0, 1.0]), cam))
-        structure = graph_structure(g2, values)
-        with pytest.raises(CompileError):
-            structure.nodes_for(len(g2.factors) - 1)
+        with pytest.raises(CompileError, match="no expression DAG"):
+            Binder(g2, values).write({}, ("expr", len(g2.factors) - 1, 0))
 
     def test_embedded_factor_graphs_cache_and_rebind(self):
         from repro.factors import CameraFactor, PinholeCamera

@@ -12,6 +12,7 @@ from repro.factorgraph import (
     Values,
     X,
     Y,
+    min_degree_ordering,
     numerical_jacobian,
     prior_on_vector,
 )
@@ -161,5 +162,6 @@ class TestFactorGraph:
             difference_factor(X(0), Y(0), [1.0]),
         ])
         v = Values({X(0): np.zeros(1), Y(0): np.zeros(1)})
-        order = g.default_ordering(v)
+        order = min_degree_ordering(g)
         assert set(order) == {X(0), Y(0)}
+        assert order == min_degree_ordering(g.linearize(v))

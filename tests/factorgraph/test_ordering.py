@@ -90,3 +90,19 @@ class TestValidation:
         g = GaussianFactorGraph([factor([X(0)])])
         with pytest.raises(GraphError):
             validate_ordering(g, [X(0), Y(5)])
+
+
+class TestNonlinearGraphs:
+    """The compiler orders a nonlinear graph without linearizing it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_app_graphs_order_like_their_linearizations(self, seed):
+        from repro.apps import all_applications
+
+        checked = 0
+        for app in all_applications():
+            for name, (graph, values) in app.build_graphs(seed).items():
+                assert min_degree_ordering(graph) == min_degree_ordering(
+                    graph.linearize(values)), f"{app.name}/{name}"
+                checked += 1
+        assert checked == 12

@@ -135,6 +135,36 @@ class TestFleetRegistry:
         assert {"app": "inner", "session": "s"} in labels
         assert {"app": "outer", "session": "s", "executor": "x"} in labels
 
+    def test_label_scope_is_per_thread(self):
+        reg = FleetRegistry()
+        opened, recorded = threading.Event(), threading.Event()
+
+        def other_thread():
+            opened.wait()
+            reg.incr("fleet.solve.total")
+            recorded.set()
+
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        with label_scope(app="main"):
+            opened.set()
+            recorded.wait()
+            reg.incr("fleet.solve.total")
+        worker.join()
+        labels = [e["labels"] for e in reg.snapshot()["series"]]
+        assert sorted(labels, key=len) == [{}, {"app": "main"}]
+
+    def test_label_scope_left_through_an_exception_is_popped(self):
+        reg = FleetRegistry()
+        with label_scope(session="s"):
+            with pytest.raises(RuntimeError):
+                with label_scope(app="gone"):
+                    raise RuntimeError("boom")
+            reg.incr("fleet.solve.total")
+        reg.incr("fleet.solve.total")
+        labels = [e["labels"] for e in reg.snapshot()["series"]]
+        assert sorted(labels, key=len) == [{}, {"session": "s"}]
+
     def test_explicit_labels_beat_ambient(self):
         reg = FleetRegistry()
         with label_scope(app="ambient"):

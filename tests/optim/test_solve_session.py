@@ -8,8 +8,9 @@ constants.  These tests pin both sides of that rule:
   makes the reused solver compile afresh, and its update then equals
   a fresh solver's bit for bit;
 - *work*: a fixed-budget GN or LM run compiles and plans once and never
-  rebinds, on the fused backend and under supervision alike; the
-  supervisor fingerprints each solve once for its circuit breaker.
+  rebinds or linearizes the nonlinear graph, on the fused backend and
+  under supervision alike; the supervisor fingerprints each solve once
+  for its circuit breaker.
   Calls are counted by wrapping the library functions in place, the way
   the end-to-end benchmark's layer tracer does, so the bound needs no
   clock and no counter in ``src/``.
@@ -227,6 +228,8 @@ class TestWorkBound:
             "fingerprint": call_counter(monkeypatch, cache,
                                         "graph_structure"),
             "error": call_counter(monkeypatch, FactorGraph, "error"),
+            "linearize": call_counter(monkeypatch, FactorGraph,
+                                      "linearize"),
         }
 
     def _gauss_newton(self, monkeypatch, backend):
@@ -249,20 +252,23 @@ class TestWorkBound:
 
     def test_gauss_newton(self, monkeypatch):
         # The error of each accepted step carries into the next
-        # iteration: one initial evaluation plus one per step.
+        # iteration: one initial evaluation plus one per step.  The
+        # cold compile orders the graph without linearizing it.
         assert self._gauss_newton(monkeypatch, "fused") == {
             "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 0,
-            "error": 9}
+            "error": 9, "linearize": 0}
 
     def test_gauss_newton_supervised(self, monkeypatch):
         assert self._gauss_newton(monkeypatch, "supervised") == {
             "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 8,
-            "error": 9}
+            "error": 9, "linearize": 0}
 
     def test_levenberg_marquardt(self, monkeypatch):
         assert self._levenberg_marquardt(monkeypatch, "fused") == {
-            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 0}
+            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 0,
+            "linearize": 0}
 
     def test_levenberg_marquardt_supervised(self, monkeypatch):
         assert self._levenberg_marquardt(monkeypatch, "supervised") == {
-            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 8}
+            "compile": 1, "plan": 1, "rebind": 0, "fingerprint": 8,
+            "linearize": 0}

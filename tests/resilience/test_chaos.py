@@ -1,11 +1,11 @@
 """Chaos campaign: verdicts, gates, byte-determinism, CLI exit codes.
 
-The seed-0 MobileRobot document is pinned by one SHA-256 of its bytes
-as :func:`~repro.bench.core.write_bench` writes them, stored in
-``golden/chaos_digest.json``.  Any change to a verdict, an event
-(backoff delays and complaint details included) or a fleet series moves
-it.  After an intentional change to the supervised pipeline's
-observable behaviour, regenerate the file with::
+Each application's seed-0 chaos document is pinned by one SHA-256 of
+its bytes as :func:`~repro.bench.core.write_bench` writes them, stored
+per application in ``golden/chaos_digest.json``.  Any change to a
+verdict, an event (backoff delays and complaint details included) or a
+fleet series moves it.  After an intentional change to the supervised
+pipeline's observable behaviour, regenerate the file with::
 
     PYTHONPATH=src python tests/resilience/test_chaos.py --regenerate
 
@@ -40,6 +40,7 @@ from repro.resilience.chaos import (
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden", "chaos_digest.json")
+GOLDEN_APPS = ("MobileRobot", "Manipulator", "AutoVehicle", "Quadrotor")
 
 
 def quick_config(**overrides):
@@ -68,6 +69,15 @@ class TestChaosGolden:
             golden = json.load(fh)
         assert document_digest(document) == golden["MobileRobot"], (
             "the seed-0 MobileRobot chaos document moved; see the module "
+            "docstring before regenerating")
+
+    @pytest.mark.parametrize("app", GOLDEN_APPS[1:])
+    def test_other_apps_match_golden_digests(self, app):
+        _, document = run_chaos(quick_config(apps=(app,)))
+        with open(GOLDEN_PATH) as fh:
+            golden = json.load(fh)
+        assert document_digest(document) == golden[app], (
+            f"the seed-0 {app} chaos document moved; see the module "
             "docstring before regenerating")
 
     def test_cache_poison_names_the_poisoned_constant(self, chaos_result):
@@ -259,10 +269,11 @@ class TestChaosSoak:
 
 
 def regenerate():
-    _, document = run_chaos(quick_config())
+    digests = {app: document_digest(run_chaos(quick_config(apps=(app,)))[1])
+               for app in GOLDEN_APPS}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
-        json.dump({"MobileRobot": document_digest(document)}, fh, indent=1)
+        json.dump(digests, fh, indent=1)
         fh.write("\n")
     print(f"wrote {GOLDEN_PATH}")
 

@@ -61,6 +61,22 @@ def no_sleep(_):
     pass
 
 
+def poison_first_constant(program, kind):
+    """NaN-poison the first non-empty CONST of ``kind`` among those a
+    refresh keeps (``static``, ``noise`` or ``expr``)."""
+    from repro.compiler.cache import value_sites
+
+    for position, site_kind in value_sites(program).persistent:
+        meta = program.instructions[position].meta
+        value = np.asarray(meta["value"], dtype=float)
+        if site_kind == kind and value.size:
+            bad = value.copy()
+            bad.flat[0] = np.nan
+            meta["value"] = bad
+            return
+    raise AssertionError(f"no {kind} constant to poison")
+
+
 # ----------------------------------------------------------------------
 # Circuit breaker
 # ----------------------------------------------------------------------
@@ -325,31 +341,29 @@ class TestSupervisedSolver:
         for key in golden:
             assert np.array_equal(delta[key], golden[key])
 
+    @pytest.mark.parametrize("kind", ["static", "noise", "expr"])
     def test_poisoned_cache_template_is_evicted(self, problem, golden,
-                                                monkeypatch):
+                                                monkeypatch, kind):
+        """A refresh leaves static constants, and a bound factor's
+        whitening (``noise``) and measurement (``expr``) constants, as
+        compiled, so the integrity check guards all three: the next
+        solve evicts the program and answers from the fused rung."""
         from repro.compiler import codegen
-        from repro.compiler.cache import BIND_STATIC
-        from repro.compiler.isa import Opcode
 
         graph, values = problem
         compiles = call_counter(monkeypatch, codegen, "compile_graph")
         solver = SupervisedSolver(sleep=no_sleep)
         solver.solve(graph, values)  # cold compile binds the session
         poisoned = solver.session.compiled
-        for instr in poisoned.program.instructions:
-            if instr.op is Opcode.CONST:
-                spec = instr.meta.get("binding")
-                if spec is None or spec[0] == BIND_STATIC:
-                    value = np.asarray(instr.meta["value"], dtype=float)
-                    if value.size:
-                        bad = value.copy()
-                        bad.flat[0] = np.nan
-                        instr.meta["value"] = bad
-                        break
-        assert verify_template_integrity(poisoned)
+        poison_first_constant(poisoned.program, kind)
+        complaints = verify_template_integrity(poisoned)
+        assert len(complaints) == 1
+        assert complaints[0].startswith(f"{kind} constant ")
         delta = solver.solve(graph, values)  # refresh detects + recompiles
-        kinds = [e["kind"] for e in solver.last_report["events"]]
-        assert "cache_eviction" in kinds
+        report = solver.last_report
+        assert [(e["kind"], e["detail"]) for e in report["events"]] == [
+            ("cache_eviction", complaints[0])]
+        assert report["rung"] == RUNG_FUSED
         assert compiles[0] == 2  # cold + recompile
         assert solver.session.compiled is not poisoned
         for key in golden:
